@@ -10,9 +10,7 @@
 //! ```text
 //! cargo bench -p dlm-bench --bench serve_load                     # one server, full load
 //! cargo bench -p dlm-bench --bench serve_load -- --smoke          # reduced, for CI
-//! cargo bench -p dlm-bench --bench serve_load -- --legacy         # thread-per-connection front
 //! cargo bench -p dlm-bench --bench serve_load -- --transport binary --batch 8
-//! cargo bench -p dlm-bench --bench serve_load -- --compare-fronts # legacy vs reactor, one artifact
 //! cargo bench -p dlm-bench --bench serve_load -- --router         # router + 2 backends
 //! cargo bench -p dlm-bench --bench serve_load -- --smoke --router # CI router smoke
 //! cargo bench -p dlm-bench --bench serve_load -- --router --kill-one  # elasticity drill
@@ -20,8 +18,8 @@
 //! cargo bench -p dlm-bench --bench serve_load -- --digg-dir data/digg # Digg-2009 CSV replay
 //! ```
 //!
-//! Single-server modes write `BENCH_serve.json`
-//! (`dlm-bench/serve/v3`: one entry in `runs` per measured
+//! Single-server mode writes `BENCH_serve.json`
+//! (`dlm-bench/serve/v4`: one entry in `runs` per measured
 //! configuration, each carrying server-side per-verb service-time
 //! quantiles from the scraped `metrics` histogram snapshot); router
 //! mode fronts **two** backend processes' worth of server state with a
@@ -36,12 +34,7 @@
 //!   streams, all clients issue the same forecast and every response's
 //!   model section must be byte-identical across clients *and*
 //!   bit-identical to an offline fit+predict on the batch-built
-//!   observation — whichever front end, framing, and batching carried
-//!   the votes;
-//! * **front-end gate (`--compare-fronts`)** — the reactor
-//!   (binary-framed, batched) must not be slower than the legacy
-//!   thread-per-connection front on the same machine, and a markdown
-//!   comparison table is printed to stdout for `$GITHUB_STEP_SUMMARY`;
+//!   observation — whichever framing and batching carried the votes;
 //! * **routing gate (router)** — the *entire response stream* each
 //!   client sees through the router (opens, ingests, forecasts) must be
 //!   byte-identical to what the same request stream gets from a single
@@ -74,6 +67,7 @@
 use criterion::SampleStats;
 use dlm_bench::artifact;
 use dlm_cascade::hops::hop_density_matrix;
+use dlm_cluster::ring::{remap_fraction, HashRing};
 use dlm_core::evaluate::Parallelism;
 use dlm_core::predict::{GrowthFamily, Observation, PredictionRequest};
 use dlm_core::registry::{ModelRegistry, ModelSpec};
@@ -81,12 +75,11 @@ use dlm_core::AccuracyTable;
 use dlm_data::simulate::simulate_story;
 use dlm_data::{DiggDataset, SimulationConfig, StoryPreset, SyntheticWorld, Vote, WorldConfig};
 use dlm_graph::DiGraph;
-use dlm_router::ring::remap_fraction;
-use dlm_router::{HashRing, RouterConfig, RouterState};
+use dlm_router::{RouterConfig, RouterState};
 use dlm_scenarios::{
     digg_fixture, find_regime, generate_batch, Delivery, DiggFixtureConfig, ScenarioStream,
 };
-use dlm_serve::server::{DlmServer, FrontEnd, ServeConfig, ServerState};
+use dlm_serve::server::{DlmServer, ServeConfig, ServerState};
 use dlm_serve::{Json, LineClient, Transport};
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -376,13 +369,6 @@ fn print_latencies(ingest: &[f64], forecast: &[f64]) {
     }
 }
 
-fn front_name(front: FrontEnd) -> &'static str {
-    match front {
-        FrontEnd::Reactor { .. } => "reactor",
-        FrontEnd::ThreadPerConnection => "legacy",
-    }
-}
-
 /// One `metrics` scrape over the wire: the parsed response plus its
 /// structured snapshot (empty on a malformed response — the caller's
 /// counter checks then fail loudly instead of panicking mid-bench).
@@ -455,8 +441,6 @@ fn main() {
     let smoke = flag("--smoke");
     let router_mode = flag("--router");
     let kill_one = flag("--kill-one");
-    let compare_fronts = flag("--compare-fronts");
-    let legacy = flag("--legacy");
     let transport = match value_of("--transport").map(String::as_str) {
         Some("binary") => Transport::Binary,
         Some("lines") | None => Transport::Lines,
@@ -488,13 +472,9 @@ fn main() {
         router_mode || !kill_one,
         "--kill-one requires --router (there is nothing to fail over to)"
     );
-    assert!(
-        !(router_mode && compare_fronts),
-        "--compare-fronts is a single-server mode"
-    );
     if !scenario_regimes.is_empty() || digg_dir.is_some() {
         assert!(
-            !router_mode && !compare_fronts && !legacy && batch == 1,
+            !router_mode && batch == 1,
             "--scenario/--digg-dir is its own mode (it drives both tiers itself; \
              deliveries are semantic units, so --batch does not apply)"
         );
@@ -560,17 +540,8 @@ fn main() {
     let opts = LoadOpts { transport, batch };
     if router_mode {
         run_router_load(&world, &scenario, clients, replayed, smoke, kill_one, opts);
-    } else if compare_fronts {
-        run_compare_fronts(&world, &story, &scenario, clients, replayed, smoke, opts);
     } else {
-        let front = if legacy {
-            FrontEnd::ThreadPerConnection
-        } else {
-            FrontEnd::default()
-        };
-        run_single_load(
-            &world, &story, &scenario, clients, replayed, smoke, front, opts,
-        );
+        run_single_load(&world, &story, &scenario, clients, replayed, smoke, opts);
     }
 }
 
@@ -578,7 +549,6 @@ fn main() {
 /// entry of the serve artifact's `runs` array.
 struct RunResult {
     label: String,
-    front: &'static str,
     opts: LoadOpts,
     requests: usize,
     wire_lines: usize,
@@ -598,7 +568,7 @@ struct RunResult {
 impl RunResult {
     fn to_json(&self) -> String {
         format!(
-            "{{\"label\": \"{label}\", \"front\": \"{front}\", \"transport\": \"{transport}\", \
+            "{{\"label\": \"{label}\", \"transport\": \"{transport}\", \
              \"batch\": {batch}, \"requests\": {requests}, \"wire_lines\": {wire}, \
              \"wall_seconds\": {wall:.3}, \"throughput_rps\": {rps:.2}, \
              \"ingest_latency\": {ingest}, \"forecast_latency\": {forecast}, \
@@ -607,7 +577,6 @@ impl RunResult {
              \"protocol_ok\": {protocol_ok}, \"metrics_ok\": {metrics_ok}, \
              \"outputs_identical\": {identical}}}",
             label = self.label,
-            front = self.front,
             transport = self.opts.transport.wire_name(),
             batch = self.opts.batch,
             requests = self.requests,
@@ -631,23 +600,20 @@ impl RunResult {
     }
 }
 
-/// Binds a fresh server on `front`, replays the scenario, and runs the
-/// protocol + cross-client + served-vs-offline gates.
-#[allow(clippy::too_many_arguments)]
+/// Binds a fresh server, replays the scenario, and runs the protocol +
+/// cross-client + served-vs-offline gates.
 fn run_one(
     world: &SyntheticWorld,
     story: &dlm_data::Cascade,
     scenario: &Scenario,
     clients: usize,
-    front: FrontEnd,
-    label: &str,
     opts: LoadOpts,
 ) -> RunResult {
+    let label = "single";
     let state = ServerState::with_world(serve_config(), world.clone()).expect("server state");
-    let mut server = DlmServer::bind_with("127.0.0.1:0", Arc::new(state), front).expect("bind");
+    let mut server = DlmServer::bind("127.0.0.1:0", state).expect("bind");
     eprintln!(
-        "[{label}] {front} front, {transport} transport, batch {batch} on {addr}",
-        front = front_name(front),
+        "[{label}] {transport} transport, batch {batch} on {addr}",
         transport = opts.transport.wire_name(),
         batch = opts.batch,
         addr = server.local_addr(),
@@ -773,7 +739,6 @@ fn run_one(
     server.shutdown();
     RunResult {
         label: label.to_owned(),
-        front: front_name(front),
         opts,
         requests,
         wire_lines,
@@ -795,20 +760,18 @@ fn write_serve_artifact(
     clients: usize,
     replayed: usize,
     smoke: bool,
-    reactor_speedup: Option<f64>,
 ) {
     let entries: Vec<String> = runs.iter().map(RunResult::to_json).collect();
     let json = format!(
         "{{\n  \"schema\": \"{schema}\",\n  \"mode\": \"{mode}\",\n  \
          \"hardware_threads\": {threads},\n  \"clients\": {clients},\n  \
          \"hours_streamed\": {horizon},\n  \"votes_replayed_per_client\": {replayed},\n  \
-         \"runs\": [\n    {entries}\n  ],\n  \"reactor_speedup\": {speedup}\n}}\n",
+         \"runs\": [\n    {entries}\n  ]\n}}\n",
         schema = artifact::SERVE_SCHEMA,
         mode = if smoke { "smoke" } else { "full" },
         threads = artifact::hardware_threads(),
         horizon = scenario.horizon,
         entries = entries.join(",\n    "),
-        speedup = reactor_speedup.map_or("null".into(), |s| format!("{s:.3}")),
     );
     let out = artifact::bench_out("BENCH_serve.json");
     artifact::write(&out, &json).expect("valid serve artifact");
@@ -824,127 +787,12 @@ fn run_single_load(
     clients: usize,
     replayed: usize,
     smoke: bool,
-    front: FrontEnd,
     opts: LoadOpts,
 ) {
-    let run = run_one(
-        world,
-        story,
-        scenario,
-        clients,
-        front,
-        front_name(front),
-        opts,
-    );
+    let run = run_one(world, story, scenario, clients, opts);
     let ok = run.gates_pass();
-    write_serve_artifact(&[run], scenario, clients, replayed, smoke, None);
+    write_serve_artifact(&[run], scenario, clients, replayed, smoke);
     if !ok {
-        std::process::exit(1);
-    }
-}
-
-/// `--compare-fronts`: the legacy thread-per-connection front on plain
-/// JSON lines vs the reactor on the negotiated binary framing with
-/// batched ingest, same machine, same scenario, one artifact. Fails if
-/// the reactor is slower than the legacy front. The markdown table goes
-/// to stdout so CI can append it to `$GITHUB_STEP_SUMMARY`.
-fn run_compare_fronts(
-    world: &SyntheticWorld,
-    story: &dlm_data::Cascade,
-    scenario: &Scenario,
-    clients: usize,
-    replayed: usize,
-    smoke: bool,
-    opts: LoadOpts,
-) {
-    let legacy_opts = LoadOpts {
-        transport: Transport::Lines,
-        batch: 1,
-    };
-    // The reactor leg defaults to the full wire upgrade (binary framing,
-    // batched hour-steps) unless the flags chose otherwise.
-    let reactor_opts = LoadOpts {
-        transport: if opts.transport == Transport::Lines && opts.batch == 1 {
-            Transport::Binary
-        } else {
-            opts.transport
-        },
-        batch: if opts.transport == Transport::Lines && opts.batch == 1 {
-            4
-        } else {
-            opts.batch
-        },
-    };
-    let legacy = run_one(
-        world,
-        story,
-        scenario,
-        clients,
-        FrontEnd::ThreadPerConnection,
-        "legacy",
-        legacy_opts,
-    );
-    let reactor = run_one(
-        world,
-        story,
-        scenario,
-        clients,
-        FrontEnd::default(),
-        "reactor",
-        reactor_opts,
-    );
-    let speedup = reactor.throughput / legacy.throughput.max(1e-9);
-    let regressed = reactor.throughput < legacy.throughput;
-    let gates_ok = legacy.gates_pass() && reactor.gates_pass();
-
-    // Markdown for $GITHUB_STEP_SUMMARY (stdout; diagnostics go to
-    // stderr throughout).
-    println!("## serve_load front-end comparison\n");
-    println!(
-        "{} hardware threads, {clients} clients, {replayed} votes over {} hours ({})\n",
-        artifact::hardware_threads(),
-        scenario.horizon,
-        if smoke { "smoke" } else { "full" },
-    );
-    println!(
-        "| run | front | transport | batch | requests | wire lines | wall s | req/s | ingest p50 ms | forecast p50 ms |"
-    );
-    println!("|---|---|---|---|---|---|---|---|---|---|");
-    for run in [&legacy, &reactor] {
-        let p50 = |samples: &[f64]| {
-            SampleStats::from_samples(samples).map_or("-".into(), |s| format!("{:.2}", s.p50 * 1e3))
-        };
-        println!(
-            "| {} | {} | {} | {} | {} | {} | {:.2} | {:.1} | {} | {} |",
-            run.label,
-            run.front,
-            run.opts.transport.wire_name(),
-            run.opts.batch,
-            run.requests,
-            run.wire_lines,
-            run.wall_secs,
-            run.throughput,
-            p50(&run.ingest),
-            p50(&run.forecast),
-        );
-    }
-    println!("\nreactor speedup: **{speedup:.2}x** (gate: reactor must not be slower)");
-
-    if regressed {
-        eprintln!(
-            "FRONT-END GATE FAILED: reactor {:.1} req/s < legacy {:.1} req/s",
-            reactor.throughput, legacy.throughput
-        );
-    }
-    write_serve_artifact(
-        &[legacy, reactor],
-        scenario,
-        clients,
-        replayed,
-        smoke,
-        Some(speedup),
-    );
-    if !gates_ok || regressed {
         std::process::exit(1);
     }
 }

@@ -9,14 +9,13 @@
 
 use dlm_serve::Json;
 
-/// Single-server / front-end-comparison load runs (`BENCH_serve.json`).
-/// `runs` always holds one entry per measured configuration — a plain
-/// run writes one, `--compare-fronts` writes one per front end — so
-/// consumers never branch on mode. `v3` adds `service_times`
-/// (server-side per-verb p50/p95 from the scraped `metrics` histogram
-/// snapshot) and `metrics_ok` (the scrape's counters matched the
-/// client-side counts) to every run entry.
-pub const SERVE_SCHEMA: &str = "dlm-bench/serve/v3";
+/// Single-server load runs (`BENCH_serve.json`). `runs` holds one entry
+/// per measured configuration. `v3` added `service_times` (server-side
+/// per-verb p50/p95 from the scraped `metrics` histogram snapshot) and
+/// `metrics_ok` (the scrape's counters matched the client-side counts)
+/// to every run entry; `v4` drops the per-run front-end name and the
+/// front-end comparison headline, since the server has one front end.
+pub const SERVE_SCHEMA: &str = "dlm-bench/serve/v4";
 
 /// Routed load runs (`BENCH_router.json`), including the `--kill-one`
 /// elasticity drill. `v3` added `hardware_threads` and `transport` to
@@ -42,7 +41,6 @@ pub const CALIBRATION_SCHEMA: &str = "dlm-bench/calibration/v1";
 /// Keys every element of a serve artifact's `runs` array must carry.
 pub const SERVE_RUN_KEYS: &[&str] = &[
     "label",
-    "front",
     "transport",
     "batch",
     "requests",
@@ -92,7 +90,6 @@ pub fn required_keys(schema: &str) -> Option<&'static [&'static str]> {
             "hours_streamed",
             "votes_replayed_per_client",
             "runs",
-            "reactor_speedup",
         ]),
         s if s == ROUTER_SCHEMA => Some(&[
             "schema",
@@ -284,7 +281,7 @@ mod tests {
 
     fn serve_doc(run_extra: &str, top_extra: &str) -> String {
         let run = format!(
-            "{{\"label\":\"reactor\",\"front\":\"reactor\",\"transport\":\"binary\",\
+            "{{\"label\":\"single\",\"transport\":\"binary\",\
              \"batch\":64,\"requests\":100,\"wire_lines\":10,\"wall_seconds\":0.5,\
              \"throughput_rps\":200.0,\"ingest_latency\":null,\"forecast_latency\":null,\
              \"service_times\":{{\"ingest\":{{\"count\":40,\"p50_ms\":0.5,\"p95_ms\":2.0}}}},\
@@ -293,7 +290,7 @@ mod tests {
         format!(
             "{{\"schema\":\"{SERVE_SCHEMA}\",\"mode\":\"smoke\",\"hardware_threads\":8,\
              \"clients\":4,\"hours_streamed\":5,\"votes_replayed_per_client\":100,\
-             \"runs\":[{run}],\"reactor_speedup\":null{top_extra}}}"
+             \"runs\":[{run}]{top_extra}}}"
         )
     }
 

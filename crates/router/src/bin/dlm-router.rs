@@ -33,7 +33,7 @@ fn usage() -> ! {
 fn main() {
     let mut addr = "127.0.0.1:7900".to_owned();
     let mut backends: Vec<String> = Vec::new();
-    let mut replicas = dlm_router::HashRing::DEFAULT_REPLICAS;
+    let mut replicas = dlm_cluster::HashRing::DEFAULT_REPLICAS;
     let mut data_replicas = 1usize;
     let mut parallelism = Parallelism::Auto;
     let mut connect_timeout = RouterConfig::DEFAULT_CONNECT_TIMEOUT;

@@ -8,11 +8,11 @@
 //! at all. This crate is the tier that does the splitting, std-only
 //! like the server beneath it:
 //!
-//! * [`ring`] — the consistent-hash ring with virtual nodes
-//!   (re-exported from [`dlm_cluster::ring`]): deterministic placement
-//!   from the configured backend addresses, balanced key splits,
-//!   minimal remapping when the backend set changes, and N-way owner
-//!   walks ([`HashRing::route_n`]) for replicated placement;
+//! * placement — the consistent-hash ring with virtual nodes lives in
+//!   [`dlm_cluster::ring`]: deterministic placement from the configured
+//!   backend addresses, balanced key splits, minimal remapping when the
+//!   backend set changes, and N-way owner walks
+//!   ([`dlm_cluster::HashRing::route_n`]) for replicated placement;
 //! * [`proxy`] — [`proxy::RouterState`], a [`dlm_serve::LineService`]
 //!   that forwards `open`/`ingest`/`forecast` lines **verbatim** to the
 //!   owning backend(s) over pooled [`dlm_serve::LineClient`] connections
@@ -69,7 +69,5 @@
 #![warn(missing_debug_implementations)]
 
 pub mod proxy;
-pub mod ring;
 
 pub use proxy::{RouterConfig, RouterState, REBALANCE_CHUNK};
-pub use ring::HashRing;

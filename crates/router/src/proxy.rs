@@ -7,7 +7,7 @@
 //! ([`dlm_serve::DlmServer`]) also serves the router — clients cannot
 //! tell the difference, which is the point: `open`, `ingest`, and
 //! `forecast` lines are forwarded **verbatim** to the backend(s) that
-//! own the cascade id on the [`crate::ring::HashRing`], and a backend's
+//! own the cascade id on the [`dlm_cluster::HashRing`], and a backend's
 //! response line is relayed **verbatim** back. The router never
 //! re-serializes a routed payload, so a routed forecast is trivially
 //! byte-identical to the same forecast served directly — the
@@ -115,8 +115,7 @@
 //! the current `ring_version` and each backend's ownership fraction
 //! (its share of [`HashRing::OWNERSHIP_PROBES`] probe keys).
 
-use crate::ring::HashRing;
-use dlm_cluster::{hash64, hex, Membership, NodeStatus};
+use dlm_cluster::{hash64, hex, HashRing, Membership, NodeStatus};
 use dlm_core::cache::CacheStats;
 use dlm_core::evaluate::Parallelism;
 use dlm_numerics::pool::parallel_map;

@@ -13,10 +13,11 @@
 //!   per-backend error for cascades on its shard while every other
 //!   shard keeps serving identical bytes.
 
+use dlm_cluster::HashRing;
 use dlm_core::evaluate::Parallelism;
 use dlm_data::simulate::simulate_story;
 use dlm_data::{SimulationConfig, StoryPreset, SyntheticWorld, WorldConfig};
-use dlm_router::{HashRing, RouterConfig, RouterState};
+use dlm_router::{RouterConfig, RouterState};
 use dlm_serve::server::{DlmServer, ServeConfig, ServerState};
 use dlm_serve::{Json, LineClient};
 use std::sync::Arc;

@@ -5,25 +5,25 @@
 //! dlm-serve [--addr 127.0.0.1:7878] [--scale 0.15] [--capacity 1024]
 //!           [--cascades 4096] [--cascade-ttl SECS] [--workers N]
 //!           [--no-prewarm] [--quick-lineup] [--starts N]
-//!           [--snapshot-dir DIR] [--front reactor|legacy] [--io-threads N]
+//!           [--snapshot-dir DIR] [--io-threads N]
 //!           [--announce ROUTER_ADDR] [--log-level error|warn|info|debug]
 //! ```
 //!
 //! Prints one `READY {"addr":...,"version":...}` line carrying the
-//! bound address plus a one-line config summary (front end, workers,
-//! snapshot dir) once the socket is bound (the load generator and
+//! bound address plus a one-line config summary (I/O workers, snapshot
+//! dir) once the socket is bound (the load generator and
 //! scripts wait for it), then serves until killed.
 
 use dlm_core::evaluate::Parallelism;
 use dlm_core::registry::ModelSpec;
 use dlm_data::{SyntheticWorld, WorldConfig};
-use dlm_serve::server::{DlmServer, FrontEnd, ServeConfig, ServerState};
+use dlm_serve::server::{DlmServer, ServeConfig, ServerState};
 
 fn usage() -> ! {
     eprintln!(
         "usage: dlm-serve [--addr HOST:PORT] [--scale F] [--capacity N] [--cascades N] \
          [--cascade-ttl SECS] [--workers N] [--no-prewarm] [--quick-lineup] [--starts N] \
-         [--snapshot-dir DIR] [--front reactor|legacy] [--io-threads N] \
+         [--snapshot-dir DIR] [--io-threads N] \
          [--announce ROUTER_ADDR] [--log-level error|warn|info|debug]"
     );
     std::process::exit(2);
@@ -34,7 +34,6 @@ fn main() {
     let mut scale = 0.15f64;
     let mut starts = 1usize;
     let mut io_threads = 0usize;
-    let mut legacy_front = false;
     let mut announce: Option<String> = None;
     let mut config = ServeConfig::default();
     let mut args = std::env::args().skip(1);
@@ -73,17 +72,9 @@ fn main() {
             "--starts" => {
                 starts = value("--starts").parse().unwrap_or_else(|_| usage());
             }
-            "--front" => match value("--front").as_str() {
-                // The nonblocking readiness reactor (default) vs the
-                // original thread-per-connection loop, kept for
-                // comparison runs (`serve_load --compare-fronts`).
-                "reactor" => legacy_front = false,
-                "legacy" => legacy_front = true,
-                _ => usage(),
-            },
             "--io-threads" => {
                 // Reactor I/O worker count; 0 = one per available core
-                // (clamped). Ignored by the legacy front end.
+                // (clamped).
                 io_threads = value("--io-threads").parse().unwrap_or_else(|_| usage());
             }
             "--announce" => {
@@ -136,24 +127,18 @@ fn main() {
     eprintln!("generating synthetic world (scale {scale})...");
     let world =
         SyntheticWorld::generate(WorldConfig::default().scaled(scale)).expect("world generation");
-    let config_snapshot_dir = config.snapshot_dir.clone();
+    let snapshot_dir = config.snapshot_dir.clone();
     let state = ServerState::with_world(config, world).expect("server construction");
     let lineup = state.lineup();
-    let front = if legacy_front {
-        FrontEnd::ThreadPerConnection
+    let workers = if io_threads == 0 {
+        "auto".to_owned()
     } else {
-        FrontEnd::Reactor { io_threads }
-    };
-    let snapshot_dir = config_snapshot_dir.clone();
-    let (front_name, workers) = match front {
-        FrontEnd::Reactor { io_threads: 0 } => ("reactor", "auto".to_owned()),
-        FrontEnd::Reactor { io_threads } => ("reactor", io_threads.to_string()),
-        FrontEnd::ThreadPerConnection => ("legacy", "per-conn".to_owned()),
+        io_threads.to_string()
     };
     let server =
-        DlmServer::bind_with(addr.as_str(), std::sync::Arc::new(state), front).expect("bind");
+        DlmServer::bind_with(addr.as_str(), std::sync::Arc::new(state), io_threads).expect("bind");
     println!(
-        "READY {{\"addr\":\"{}\",\"models\":{},\"version\":\"{}\",\"front\":\"{front_name}\",\
+        "READY {{\"addr\":\"{}\",\"models\":{},\"version\":\"{}\",\
          \"workers\":\"{workers}\",\"snapshot_dir\":\"{}\"}}",
         server.local_addr(),
         lineup.len(),
@@ -163,8 +148,7 @@ fn main() {
             .map_or_else(|| "-".to_owned(), |p| p.display().to_string()),
     );
     eprintln!(
-        "dlm-serve {} serving {} models on {} (front={front_name} workers={workers}); \
-         Ctrl-C to stop",
+        "dlm-serve {} serving {} models on {} (io workers={workers}); Ctrl-C to stop",
         env!("CARGO_PKG_VERSION"),
         lineup.len(),
         server.local_addr()

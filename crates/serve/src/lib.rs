@@ -32,12 +32,10 @@
 //!   at the repository root; the `dlm-router` crate speaks the same
 //!   protocol in front of many backends.
 //!
-//! [`server::DlmServer`] serves it all over TCP — by default through a
-//! nonblocking, std-only readiness reactor (a fixed I/O worker pool
-//! multiplexing every connection, so thousands of connections cost
-//! buffers rather than threads), with the original
-//! thread-per-connection loop selectable via
-//! [`server::FrontEnd::ThreadPerConnection`] for comparison runs.
+//! [`server::DlmServer`] serves it all over TCP through a nonblocking,
+//! std-only readiness reactor (a fixed I/O worker pool multiplexing
+//! every connection, so thousands of connections cost buffers rather
+//! than threads).
 //!
 //! The elastic-cluster layer rides on `dlm-cluster`'s versioned
 //! snapshot codec: [`live::LiveCascade::to_snapshot`] captures a
@@ -94,7 +92,7 @@ pub use error::{Result, ServeError};
 pub use json::Json;
 pub use live::{IngestOutcome, LiveCascade};
 pub use protocol::{OpenMetric, Request};
-pub use server::{DlmServer, FrontEnd, LineService, ServeConfig, ServerState};
+pub use server::{DlmServer, LineService, ServeConfig, ServerState};
 pub use store::{CascadeStore, StoreStats};
 pub use telemetry::{metrics_response, snapshot_from_json, snapshot_to_json};
 pub use wire::Transport;

@@ -22,15 +22,20 @@
 //! work-stealing pool in `dlm_numerics`, so I/O workers sized to the
 //! machine keep every core busy without a second queueing layer.
 //!
-//! Framing matches the legacy front end exactly: connections start in
-//! JSON-lines mode, and a `hello` negotiation (see [`crate::wire`])
-//! switches them to length-prefixed binary frames mid-stream, pipelined
-//! bytes included.
+//! Connections start in JSON-lines mode, and a `hello` negotiation (see
+//! [`crate::wire`]) switches them to length-prefixed binary frames
+//! mid-stream, pipelined bytes included.
+//!
+//! Both per-connection buffers are bounded. A pass reads at most one
+//! maximal request's worth of bytes, and a connection whose peer has
+//! left [`MAX_PENDING_WRITE_BYTES`] of responses unread is neither read
+//! nor served until it catches up — the backpressure a blocking write
+//! would give, without parking the worker.
 //!
 //! [`LineService`]: crate::server::LineService
 
 use crate::protocol::error_response;
-use crate::server::{LineService, MAX_LINE_BYTES};
+use crate::server::LineService;
 use crate::telemetry::{ReactorWorkerMetrics, WireMetrics};
 use crate::wire::{self, Transport};
 use std::io::{ErrorKind, Read, Write};
@@ -47,6 +52,24 @@ const IDLE_PARK: Duration = Duration::from_micros(500);
 
 /// Per-pass read chunk.
 const READ_CHUNK: usize = 64 * 1024;
+
+/// Upper bound on one request line, equal to the binary frame bound.
+/// The largest legitimate request is a full-cascade ingest batch — tens
+/// of thousands of `[ts,voter]` pairs fit comfortably; a client
+/// streaming an endless unterminated "line" must not grow server memory
+/// without bound.
+const MAX_LINE_BYTES: usize = wire::MAX_FRAME_BYTES;
+
+/// The read loop stops once the receive buffer holds this much: the
+/// largest legal request in either framing (a maximal payload plus a
+/// frame header), so any request within the bounds can complete, while
+/// the buffer never outgrows it by more than one [`READ_CHUNK`].
+const MAX_READ_BUFFER_BYTES: usize = MAX_LINE_BYTES + wire::FRAME_HEADER_BYTES;
+
+/// Unsent response bytes at which a connection stops being read and
+/// served until its peer drains them. Checked before each request, not
+/// per response, so one response larger than the cap still goes out.
+const MAX_PENDING_WRITE_BYTES: usize = 4 * 1024 * 1024;
 
 /// One multiplexed connection.
 struct Conn {
@@ -72,6 +95,11 @@ impl Conn {
             transport: Transport::Lines,
             closing: false,
         }
+    }
+
+    /// Queued response bytes the peer has not taken yet.
+    fn unsent(&self) -> usize {
+        self.wbuf.len() - self.wpos
     }
 
     fn queue_line(&mut self, line: &str) {
@@ -102,8 +130,8 @@ pub(crate) struct ReactorHandle {
 
 impl ReactorHandle {
     /// Stops the accept loop, wakes every worker, and joins the pool.
-    /// Workers drop their connections outright — reactor shutdown is
-    /// teardown, not graceful drain, matching the legacy front end.
+    /// Workers drop their connections outright: shutdown is teardown,
+    /// not graceful drain.
     pub(crate) fn shutdown(&mut self, addr: SocketAddr) {
         if self.shutdown.swap(true, Ordering::SeqCst) {
             return;
@@ -247,7 +275,9 @@ fn worker_loop<S: LineService>(
 }
 
 /// One readiness pass over one connection: flush, read, parse+handle,
-/// flush again so same-pass responses leave immediately.
+/// flush again so same-pass responses leave immediately. While
+/// [`MAX_PENDING_WRITE_BYTES`] or more of its responses are unsent, the
+/// pass only flushes.
 fn pump<S: LineService>(
     state: &S,
     conn: &mut Conn,
@@ -259,40 +289,35 @@ fn pump<S: LineService>(
         Ok(m) => moved |= m,
         Err(()) => return Pump::Drop,
     }
-    if conn.closing {
-        // Read side is done; once the write buffer drains, hang up.
-        return if conn.wpos >= conn.wbuf.len() {
-            Pump::Drop
-        } else {
-            Pump::Keep(moved)
-        };
-    }
-    loop {
-        match conn.stream.read(chunk) {
-            Ok(0) => {
-                conn.closing = true;
-                break;
-            }
-            Ok(n) => {
-                if let Some(wire) = wire_metrics {
-                    wire.add_rx(conn.transport, n);
+    if conn.unsent() < MAX_PENDING_WRITE_BYTES {
+        // After EOF the read side is done, but requests held back by
+        // backpressure are still answered before the hang-up.
+        while !conn.closing && conn.rbuf.len() < MAX_READ_BUFFER_BYTES {
+            match conn.stream.read(chunk) {
+                Ok(0) => conn.closing = true,
+                Ok(n) => {
+                    if let Some(wire) = wire_metrics {
+                        wire.add_rx(conn.transport, n);
+                    }
+                    conn.rbuf.extend_from_slice(&chunk[..n]);
+                    moved = true;
                 }
-                conn.rbuf.extend_from_slice(&chunk[..n]);
-                moved = true;
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => return Pump::Drop,
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => return Pump::Drop,
+        }
+        if drain_requests(state, conn, wire_metrics).is_err() {
+            // Nothing past a framing violation can be trusted.
+            conn.rbuf.clear();
+            conn.closing = true;
+        }
+        match flush_writes(conn) {
+            Ok(m) => moved |= m,
+            Err(()) => return Pump::Drop,
         }
     }
-    if drain_requests(state, conn, wire_metrics).is_err() {
-        conn.closing = true;
-    }
-    match flush_writes(conn) {
-        Ok(m) => moved |= m,
-        Err(()) => return Pump::Drop,
-    }
-    if conn.closing && conn.wpos >= conn.wbuf.len() {
+    if conn.closing && conn.unsent() == 0 {
         return Pump::Drop;
     }
     Pump::Keep(moved)
@@ -321,8 +346,9 @@ fn flush_writes(conn: &mut Conn) -> std::result::Result<bool, ()> {
     Ok(moved)
 }
 
-/// Cuts every complete request out of the receive buffer and queues its
-/// response. `Err(())` means the connection must close after the queued
+/// Cuts complete requests out of the receive buffer and queues their
+/// responses, stopping early once [`MAX_PENDING_WRITE_BYTES`] are
+/// unsent. `Err(())` means the connection must close after the queued
 /// bytes flush (framing violation: oversize line/frame, bad UTF-8).
 fn drain_requests<S: LineService>(
     state: &S,
@@ -330,6 +356,10 @@ fn drain_requests<S: LineService>(
     wire_metrics: Option<&WireMetrics>,
 ) -> std::result::Result<(), ()> {
     loop {
+        if conn.unsent() >= MAX_PENDING_WRITE_BYTES {
+            // Backpressure: the rest waits in `rbuf` for the peer to read.
+            return Ok(());
+        }
         match conn.transport {
             Transport::Lines => {
                 let Some(newline) = conn.rbuf.iter().position(|&b| b == b'\n') else {
@@ -394,5 +424,84 @@ fn drain_requests<S: LineService>(
                 }
             },
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::{BufRead, BufReader};
+
+    /// Padding per response: a few dozen queued answers overflow both the
+    /// kernel's socket buffers and the pending-write cap.
+    const RESPONSE_BYTES: usize = 256 * 1024;
+    const REQUESTS: usize = 128;
+
+    /// Answers `rN` with `rN ` plus [`RESPONSE_BYTES`] of padding.
+    struct Padded;
+
+    impl LineService for Padded {
+        fn handle_line(&self, line: &str) -> String {
+            format!("{line} {}", "x".repeat(RESPONSE_BYTES))
+        }
+    }
+
+    #[test]
+    fn a_peer_that_stops_reading_gets_bounded_buffers_then_every_response_in_order() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        server.set_nonblocking(true).unwrap();
+        let mut conn = Conn::new(server);
+        let mut chunk = vec![0u8; READ_CHUNK];
+        // The cap plus one response line (its echoed id, space, newline).
+        let bound = MAX_PENDING_WRITE_BYTES + RESPONSE_BYTES + 16;
+
+        // Pipeline every request, read nothing.
+        let requests: String = (0..REQUESTS).map(|i| format!("r{i}\n")).collect();
+        client.write_all(requests.as_bytes()).unwrap();
+        for _ in 0..64 {
+            assert!(matches!(
+                pump(&Padded, &mut conn, &mut chunk, None),
+                Pump::Keep(_)
+            ));
+            assert!(
+                conn.unsent() <= bound,
+                "{} unsent bytes queued for a peer that is not reading",
+                conn.unsent()
+            );
+        }
+        assert!(
+            !conn.rbuf.is_empty(),
+            "backpressure never engaged: every request was answered"
+        );
+
+        // Once the peer reads, every response arrives, in request order.
+        let reader = std::thread::spawn(move || {
+            let mut lines = BufReader::new(client).lines();
+            for i in 0..REQUESTS {
+                let line = lines.next().expect("response").expect("read");
+                assert_eq!(line.len(), format!("r{i} ").len() + RESPONSE_BYTES);
+                assert!(
+                    line.starts_with(&format!("r{i} ")),
+                    "response {i} out of order"
+                );
+            }
+        });
+        let deadline = Instant::now() + Duration::from_secs(60);
+        loop {
+            assert!(Instant::now() < deadline, "responses stalled");
+            match pump(&Padded, &mut conn, &mut chunk, None) {
+                Pump::Keep(true) => {}
+                Pump::Keep(false) if reader.is_finished() => break,
+                Pump::Keep(false) => std::thread::yield_now(),
+                // The reader hung up: finished, or failed (the join
+                // below reports which).
+                Pump::Drop => break,
+            }
+            assert!(conn.unsent() <= bound);
+        }
+        reader.join().expect("every response arrives in order");
+        assert!(conn.rbuf.is_empty() && conn.unsent() == 0);
     }
 }

@@ -26,12 +26,12 @@ use crate::error::{Result, ServeError};
 use crate::json::Json;
 use crate::live::LiveCascade;
 use crate::protocol::{batch_response, error_response, OpenMetric, Request};
+use crate::reactor::ReactorHandle;
 use crate::store::CascadeStore;
 use crate::telemetry::{
     self, metrics_response, response_is_error, verb_label, RefitMetrics, RequestMetrics,
-    WireMetrics, VERB_LABELS,
+    VERB_LABELS,
 };
-use crate::wire::{self, Transport};
 use dlm_cascade::interest_groups::interest_groups;
 use dlm_cluster::{hash64, hex, CascadeSnapshot};
 use dlm_core::evaluate::{FitOutcome, FittedModelCache, Parallelism};
@@ -40,13 +40,10 @@ use dlm_core::registry::{ModelRegistry, ModelSpec};
 use dlm_data::SyntheticWorld;
 use dlm_graph::DiGraph;
 use dlm_numerics::pool::parallel_map;
-use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Tuning knobs for [`ServerState`].
@@ -587,7 +584,7 @@ impl ServerState {
     }
 
     /// This instance's metrics registry — how embedding tests and the
-    /// TCP front ends (which register transport metrics) reach the
+    /// TCP front end (which registers transport metrics) reach the
     /// telemetry without a global static.
     #[must_use]
     pub fn metrics_registry(&self) -> &dlm_obs::Registry {
@@ -1108,7 +1105,7 @@ pub trait LineService: Send + Sync + 'static {
     fn handle_line(&self, line: &str) -> String;
 
     /// The service's metrics registry, if it keeps one. The TCP front
-    /// ends use it to register transport and reactor metrics next to
+    /// end uses it to register transport and reactor metrics next to
     /// the service's own; `None` (the default) serves uninstrumented.
     fn metrics_registry(&self) -> Option<&dlm_obs::Registry> {
         None
@@ -1125,66 +1122,22 @@ impl LineService for ServerState {
     }
 }
 
-/// Which TCP front end a [`DlmServer`] drives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrontEnd {
-    /// The event-driven readiness reactor (the default): an
-    /// accept loop feeding a fixed pool of nonblocking I/O workers,
-    /// each multiplexing its share of the connections — thousands of
-    /// connections cost buffers, not threads.
-    Reactor {
-        /// I/O worker threads; `0` sizes the pool from
-        /// [`std::thread::available_parallelism`].
-        io_threads: usize,
-    },
-    /// The original one-thread-per-connection front end, kept for
-    /// apples-to-apples perf comparisons (`serve_load --legacy`, the
-    /// `serve-perf` CI job) and as a fallback.
-    ThreadPerConnection,
-}
-
-impl Default for FrontEnd {
-    fn default() -> Self {
-        Self::Reactor { io_threads: 0 }
-    }
-}
-
-/// The legacy front end's bookkeeping.
-#[derive(Debug)]
-struct LegacyFront {
-    shutdown: Arc<AtomicBool>,
-    accept_handle: Option<JoinHandle<()>>,
-    /// Live connections by id, so shutdown can unblock blocked reads.
-    /// Each handler removes its own entry on exit — a long-lived server
-    /// cycling many short-lived clients must not accumulate dead
-    /// sockets (fd exhaustion) or finished join handles.
-    connections: Arc<Mutex<HashMap<u64, TcpStream>>>,
-    handlers: Arc<Mutex<Vec<JoinHandle<()>>>>,
-}
-
-#[derive(Debug)]
-enum Front {
-    Legacy(LegacyFront),
-    Reactor(crate::reactor::ReactorHandle),
-}
-
 /// The TCP front end, serving one [`LineService`] (a [`ServerState`] by
-/// default; the router tier plugs in its own) — by default through the
-/// nonblocking readiness reactor (the private `reactor` module),
-/// optionally through the legacy thread-per-connection loop. Both front ends speak
-/// JSON lines and the negotiated binary framing of [`crate::wire`]
-/// through the same per-connection negotiation, so the choice is purely
-/// an execution-model (throughput) knob, never a protocol one.
+/// default; the router tier plugs in its own) through the nonblocking
+/// readiness reactor (the private `reactor` module): a fixed pool of
+/// I/O workers multiplexing every connection, each of which speaks
+/// JSON lines until a `hello` negotiates the binary framing of
+/// [`crate::wire`].
 #[derive(Debug)]
 pub struct DlmServer<S: LineService = ServerState> {
     addr: SocketAddr,
     state: Arc<S>,
-    front: Front,
+    reactor: ReactorHandle,
 }
 
 impl<S: LineService> DlmServer<S> {
     /// Binds the server (use port 0 for an OS-assigned port) and starts
-    /// accepting connections on the default (reactor) front end.
+    /// accepting connections with an auto-sized I/O worker pool.
     ///
     /// # Errors
     ///
@@ -1200,81 +1153,24 @@ impl<S: LineService> DlmServer<S> {
     ///
     /// Propagates socket errors.
     pub fn bind_shared(addr: impl ToSocketAddrs, state: Arc<S>) -> Result<Self> {
-        Self::bind_with(addr, state, FrontEnd::default())
+        Self::bind_with(addr, state, 0)
     }
 
-    /// Binds with an explicit front end.
+    /// Binds with an explicit I/O worker count; `0` sizes the pool from
+    /// [`std::thread::available_parallelism`].
     ///
     /// # Errors
     ///
     /// Propagates socket errors.
-    pub fn bind_with(addr: impl ToSocketAddrs, state: Arc<S>, front: FrontEnd) -> Result<Self> {
+    pub fn bind_with(addr: impl ToSocketAddrs, state: Arc<S>, io_threads: usize) -> Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let front = match front {
-            FrontEnd::Reactor { io_threads } => Front::Reactor(crate::reactor::spawn(
-                listener,
-                Arc::clone(&state),
-                io_threads,
-            )),
-            FrontEnd::ThreadPerConnection => {
-                Front::Legacy(Self::spawn_legacy(listener, Arc::clone(&state)))
-            }
-        };
-        Ok(Self { addr, state, front })
-    }
-
-    fn spawn_legacy(listener: TcpListener, state: Arc<S>) -> LegacyFront {
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let connections: Arc<Mutex<HashMap<u64, TcpStream>>> = Arc::new(Mutex::new(HashMap::new()));
-        let handlers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-
-        let accept_state = state;
-        let accept_shutdown = Arc::clone(&shutdown);
-        let accept_connections = Arc::clone(&connections);
-        let accept_handlers = Arc::clone(&handlers);
-        let accept_handle = std::thread::spawn(move || {
-            let mut next_id = 0u64;
-            for stream in listener.incoming() {
-                if accept_shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(stream) = stream else { continue };
-                // One-line request/response framing: latency matters
-                // more than segment coalescing.
-                let _ = stream.set_nodelay(true);
-                let id = next_id;
-                next_id += 1;
-                if let Ok(clone) = stream.try_clone() {
-                    accept_connections
-                        .lock()
-                        .expect("connection registry poisoned")
-                        .insert(id, clone);
-                }
-                let state = Arc::clone(&accept_state);
-                let connections = Arc::clone(&accept_connections);
-                let handle = std::thread::spawn(move || {
-                    serve_connection(state.as_ref(), stream);
-                    // Drop the registered clone so a hung-up client
-                    // releases its socket immediately.
-                    connections
-                        .lock()
-                        .expect("connection registry poisoned")
-                        .remove(&id);
-                });
-                let mut handlers = accept_handlers.lock().expect("handler registry poisoned");
-                // Reap handlers whose connections already ended.
-                handlers.retain(|h| !h.is_finished());
-                handlers.push(handle);
-            }
-        });
-
-        LegacyFront {
-            shutdown,
-            accept_handle: Some(accept_handle),
-            connections,
-            handlers,
-        }
+        let reactor = crate::reactor::spawn(listener, Arc::clone(&state), io_threads);
+        Ok(Self {
+            addr,
+            state,
+            reactor,
+        })
     }
 
     /// The bound address (with the OS-assigned port resolved).
@@ -1290,186 +1186,16 @@ impl<S: LineService> DlmServer<S> {
         Arc::clone(&self.state)
     }
 
-    /// Stops accepting, unblocks and joins every connection handler,
-    /// and joins the accept loop. Called automatically on drop.
+    /// Stops accepting, joins the accept loop, and wakes and joins every
+    /// I/O worker (dropping its connections). Called automatically on
+    /// drop.
     pub fn shutdown(&mut self) {
-        match &mut self.front {
-            Front::Reactor(handle) => handle.shutdown(self.addr),
-            Front::Legacy(front) => {
-                if front.shutdown.swap(true, Ordering::SeqCst) {
-                    return;
-                }
-                let drain_connections = || {
-                    for (_, stream) in front
-                        .connections
-                        .lock()
-                        .expect("connection registry poisoned")
-                        .drain()
-                    {
-                        let _ = stream.shutdown(Shutdown::Both);
-                    }
-                };
-                drain_connections();
-                // Unblock the accept loop with a throwaway connection.
-                let _ = TcpStream::connect(self.addr);
-                if let Some(handle) = front.accept_handle.take() {
-                    let _ = handle.join();
-                }
-                // A connection accepted concurrently with the first
-                // drain may have been registered after it; with the
-                // accept loop joined, nothing registers anymore, so a
-                // second drain catches every straggler before the
-                // handler joins below can block on it.
-                drain_connections();
-                for handle in front
-                    .handlers
-                    .lock()
-                    .expect("handler registry poisoned")
-                    .drain(..)
-                {
-                    let _ = handle.join();
-                }
-            }
-        }
+        self.reactor.shutdown(self.addr);
     }
 }
 
 impl<S: LineService> Drop for DlmServer<S> {
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-/// Upper bound on one request line. The largest legitimate request is a
-/// full-cascade ingest batch — tens of thousands of `[ts,voter]` pairs
-/// fit comfortably; a client streaming an endless unterminated "line"
-/// must not grow server memory without bound.
-pub(crate) const MAX_LINE_BYTES: usize = 16 * 1024 * 1024;
-
-/// Reads one `\n`-terminated line of at most [`MAX_LINE_BYTES`].
-/// `Ok(None)` on clean EOF; `Err` on socket errors, an oversized line,
-/// or non-UTF-8 input.
-pub(crate) fn read_line_bounded(reader: &mut impl BufRead) -> std::io::Result<Option<String>> {
-    let mut buffer: Vec<u8> = Vec::new();
-    loop {
-        let chunk = reader.fill_buf()?;
-        if chunk.is_empty() {
-            // EOF: a clean end between lines, or a truncated line.
-            return if buffer.is_empty() {
-                Ok(None)
-            } else {
-                Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-line",
-                ))
-            };
-        }
-        let (take, done) = match chunk.iter().position(|&b| b == b'\n') {
-            Some(newline) => (newline + 1, true),
-            None => (chunk.len(), false),
-        };
-        if buffer.len() + take > MAX_LINE_BYTES {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "request line exceeds the size bound",
-            ));
-        }
-        buffer.extend_from_slice(&chunk[..take]);
-        reader.consume(take);
-        if done {
-            buffer.pop(); // the newline
-            if buffer.last() == Some(&b'\r') {
-                buffer.pop();
-            }
-            return String::from_utf8(buffer)
-                .map(Some)
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e));
-        }
-    }
-}
-
-/// Serves one connection: a request line in, a response line out, until
-/// EOF or a socket error. A successful `hello` negotiation switches the
-/// rest of the connection to length-prefixed binary frames — the same
-/// negotiation the reactor front end performs, so both front ends
-/// present one protocol surface.
-fn serve_connection<S: LineService>(state: &S, stream: TcpStream) {
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let wire_metrics = state.metrics_registry().map(WireMetrics::new);
-    let mut reader = BufReader::new(read_half);
-    let mut writer = stream;
-    let write_line = |writer: &mut TcpStream, line: &str| {
-        writer
-            .write_all(line.as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
-            .and_then(|()| writer.flush())
-            .is_ok()
-    };
-    // Lines phase.
-    let mut negotiated_binary = false;
-    while let Ok(Some(line)) = read_line_bounded(&mut reader) {
-        if let Some(wm) = &wire_metrics {
-            wm.add_rx(Transport::Lines, line.len() + 1);
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        match wire::parse_hello(&line) {
-            Some(Ok(transport)) => {
-                if !write_line(&mut writer, &wire::hello_response(transport)) {
-                    return;
-                }
-                if transport == Transport::Binary {
-                    negotiated_binary = true;
-                    break; // switch framing below
-                }
-            }
-            Some(Err(e)) => {
-                if !write_line(&mut writer, &error_response(&e.to_string()).to_string()) {
-                    return;
-                }
-            }
-            None => {
-                let response = state.handle_line(&line);
-                if let Some(wm) = &wire_metrics {
-                    wm.count_request(Transport::Lines);
-                    wm.add_tx(Transport::Lines, response.len() + 1);
-                }
-                if !write_line(&mut writer, &response) {
-                    return;
-                }
-            }
-        }
-    }
-    // Binary phase (only reached through a successful negotiation —
-    // an errored lines loop must not reinterpret its tail as frames).
-    if !negotiated_binary {
-        return;
-    }
-    while let Ok(Some(payload)) = wire::read_frame(&mut reader) {
-        if let Some(wm) = &wire_metrics {
-            wm.add_rx(Transport::Binary, payload.len() + wire::FRAME_HEADER_BYTES);
-        }
-        let response = match wire::payload_to_line(&payload) {
-            Ok(line) => state.handle_line(&line),
-            // A decode error leaves the frame boundary intact, so the
-            // connection stays usable; only framing-level corruption
-            // (oversize header, mid-frame EOF) ends it above.
-            Err(e) => error_response(&e.to_string()).to_string(),
-        };
-        let frame = wire::encode_frame(response.as_bytes());
-        if let Some(wm) = &wire_metrics {
-            wm.count_request(Transport::Binary);
-            wm.add_tx(Transport::Binary, frame.len());
-        }
-        if writer
-            .write_all(&frame)
-            .and_then(|()| writer.flush())
-            .is_err()
-        {
-            break;
-        }
     }
 }

@@ -566,15 +566,15 @@ fn protocol_errors_do_not_kill_the_connection() {
     server.shutdown();
 }
 
-/// The PR's acceptance gate for the serving rework: the reactor front
-/// end speaking the negotiated binary framing with batched requests
-/// serves the **full default lineup** byte-identically to the legacy
-/// thread-per-connection front end speaking plain JSON lines — over
-/// real sockets, for the complete response stream.
+/// Gate E: the TCP front end serves the **full default lineup**
+/// byte-identically to an in-process replay of the same requests
+/// through `ServerState::handle_line` — over real sockets, for the
+/// complete response stream, on plain JSON lines, on the negotiated
+/// binary framing, and with requests riding `batch` verbs.
 #[test]
-fn reactor_batch_binary_serves_the_lineup_byte_identically_to_legacy_lines() {
+fn reactor_lines_binary_and_batch_serve_the_lineup_byte_identically_to_in_process() {
     use dlm_serve::protocol::batch_response;
-    use dlm_serve::{FrontEnd, Transport};
+    use dlm_serve::Transport;
 
     let world = SyntheticWorld::generate(WorldConfig::default().scaled(0.12)).unwrap();
     let config = SimulationConfig {
@@ -619,22 +619,30 @@ fn reactor_batch_binary_serves_the_lineup_byte_identically_to_legacy_lines() {
     ));
     requests.push(r#"{"type":"snapshot","cascade":"s1"}"#.to_owned());
 
-    // Replays the stream against a fresh full-lineup server; with
-    // `batch > 1`, requests ride `batch` verbs and the raw batch
-    // responses are returned alongside the per-request stream.
-    let run = |front: FrontEnd,
-               transport: Transport,
-               batch: usize|
-     -> (Vec<String>, Vec<String>, String) {
-        let state = ServerState::with_world(
+    let fresh_state = || {
+        ServerState::with_world(
             ServeConfig {
                 parallelism: Parallelism::Fixed(2),
                 ..ServeConfig::default()
             },
             world.clone(),
         )
-        .unwrap();
-        let mut server = DlmServer::bind_with("127.0.0.1:0", Arc::new(state), front).unwrap();
+        .unwrap()
+    };
+
+    // The reference: the same stream through a fresh, identically
+    // configured state in-process, with no socket in the path.
+    let reference_state = fresh_state();
+    let reference: Vec<String> = requests
+        .iter()
+        .map(|line| reference_state.handle_line(line))
+        .collect();
+
+    // Replays the stream against a fresh full-lineup server; with
+    // `batch > 1`, requests ride `batch` verbs and the raw batch
+    // responses are returned alongside the per-request stream.
+    let run = |transport: Transport, batch: usize| -> (Vec<String>, Vec<String>, String) {
+        let mut server = DlmServer::bind_with("127.0.0.1:0", Arc::new(fresh_state()), 2).unwrap();
         let mut client = LineClient::connect(server.local_addr()).unwrap();
         client.negotiate(transport).unwrap();
         let mut responses = Vec::new();
@@ -666,28 +674,28 @@ fn reactor_batch_binary_serves_the_lineup_byte_identically_to_legacy_lines() {
         (responses, batch_raw, metrics_raw)
     };
 
-    let (legacy, _, legacy_metrics) = run(FrontEnd::ThreadPerConnection, Transport::Lines, 1);
-    let (reactor, _, reactor_metrics) =
-        run(FrontEnd::Reactor { io_threads: 2 }, Transport::Binary, 1);
-    let (_, batched, batched_metrics) =
-        run(FrontEnd::Reactor { io_threads: 2 }, Transport::Binary, 3);
+    let (lines, _, lines_metrics) = run(Transport::Lines, 1);
+    let (binary, _, binary_metrics) = run(Transport::Binary, 1);
+    let (_, batched, batched_metrics) = run(Transport::Binary, 3);
 
-    // Gate 1: reactor + binary framing, request by request, serves the
-    // same bytes the legacy line front end does — and non-vacuously so.
-    assert_eq!(legacy.len(), requests.len());
-    for (i, (l, r)) in legacy.iter().zip(&reactor).enumerate() {
+    // Gate 1: lines and binary framing, request by request, serve the
+    // same bytes as the in-process replay — and non-vacuously so.
+    assert_eq!(lines.len(), requests.len());
+    assert_eq!(binary.len(), requests.len());
+    for (i, expected) in reference.iter().enumerate() {
         assert_eq!(
-            l, r,
-            "request {i}: reactor/binary diverged from legacy/lines"
-        );
-        assert_eq!(
-            Json::parse(l).unwrap().get("ok").and_then(Json::as_bool),
+            Json::parse(expected)
+                .unwrap()
+                .get("ok")
+                .and_then(Json::as_bool),
             Some(true),
-            "request {i} failed: {l}"
+            "request {i} failed: {expected}"
         );
+        assert_eq!(&lines[i], expected, "request {i}: lines diverged");
+        assert_eq!(&binary[i], expected, "request {i}: binary diverged");
     }
     // The big forecast response really carries the full default lineup.
-    let forecast = Json::parse(&legacy[requests.len() - 3]).unwrap();
+    let forecast = Json::parse(&reference[requests.len() - 3]).unwrap();
     assert_eq!(
         forecast.get("models").unwrap().as_array().unwrap().len(),
         ModelSpec::default_lineup().len(),
@@ -695,13 +703,13 @@ fn reactor_batch_binary_serves_the_lineup_byte_identically_to_legacy_lines() {
 
     // Gate 2: the batched replay's raw wire bytes are exactly the
     // per-request responses spliced through the canonical wrapper.
-    let expected: Vec<String> = legacy.chunks(3).map(batch_response).collect();
+    let expected: Vec<String> = reference.chunks(3).map(batch_response).collect();
     assert_eq!(batched, expected, "batch framing changed response bytes");
 
     // Gate 3: the `metrics` scrape taken during each replay reports
     // per-verb request counters exactly matching the requests sent —
     // the stream is 1 open + HORIZON ingests + 2 forecasts + 1
-    // snapshot — with zero errors, on every front end and transport.
+    // snapshot — with zero errors, on every transport.
     let ingests = u64::from(HORIZON);
     let per_verb: &[(&str, u64)] = &[
         ("open", 1),
@@ -745,8 +753,8 @@ fn reactor_batch_binary_serves_the_lineup_byte_identically_to_legacy_lines() {
         );
     };
     let total = requests.len() as u64;
-    verify(&legacy_metrics, "lines", 0, total);
-    verify(&reactor_metrics, "binary", 0, total);
+    verify(&lines_metrics, "lines", 0, total);
+    verify(&binary_metrics, "binary", 0, total);
     // chunks(3) over 10 requests → 4 batch wire lines, items still
     // counted under their own verbs.
     verify(

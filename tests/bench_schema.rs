@@ -9,7 +9,7 @@ use dlm_bench::artifact;
 
 /// A document shaped exactly like `serve_load`'s single-server writer.
 fn serve_fixture() -> String {
-    let run = r#"{"label": "reactor", "front": "reactor", "transport": "binary", "batch": 4,
+    let run = r#"{"label": "single", "transport": "binary", "batch": 4,
         "requests": 48, "wire_lines": 16, "wall_seconds": 0.084, "throughput_rps": 573.02,
         "ingest_latency": {"n": 8, "mean_ms": 24.1, "stddev_ms": 9.0, "p50_ms": 22.0,
                            "p95_ms": 40.0, "max_ms": 41.2},
@@ -21,7 +21,7 @@ fn serve_fixture() -> String {
     format!(
         r#"{{"schema": "{}", "mode": "smoke", "hardware_threads": 8, "clients": 4,
             "hours_streamed": 5, "votes_replayed_per_client": 163,
-            "runs": [{run}], "reactor_speedup": 1.062}}"#,
+            "runs": [{run}]}}"#,
         artifact::SERVE_SCHEMA
     )
 }
@@ -145,9 +145,9 @@ fn unknown_schemas_and_nonfinite_numbers_fail_validation() {
         .contains("registry"));
 
     // What a writer interpolating a NaN/Inf float emits — not JSON at all.
-    let nan = serve_fixture().replace("1.062", "NaN");
+    let nan = serve_fixture().replace("573.02", "NaN");
     assert!(artifact::validate(&nan).is_err());
-    let inf = serve_fixture().replace("1.062", "inf");
+    let inf = serve_fixture().replace("573.02", "inf");
     assert!(artifact::validate(&inf).is_err());
 
     assert!(artifact::validate("[]").is_err());
