@@ -1,70 +1,61 @@
-//! Load generator for the `dlm-serve` online forecasting service and
-//! the `dlm-router` sharding tier.
+//! Gate runner for the `dlm-serve` online forecasting service and the
+//! `dlm-router` sharding tier.
 //!
-//! Starts the serving stack process-internally, replays a synthetic
-//! `dlm-data` cascade hour-by-hour from N concurrent TCP clients (each
-//! driving its own cascade), and records per-request latencies and
-//! overall throughput. Latency percentiles come from the vendored
-//! criterion shim's [`SampleStats`].
+//! Every run replays one workload of cascades hour by hour, one
+//! concurrent TCP client per cascade, through a direct server *and* a
+//! router over two backends, then applies the gates below. The runs are
+//! the rows of [`PLAN`]; any other `dlm-scenarios` catalog regime name
+//! runs as a plain regime soak.
 //!
 //! ```text
-//! cargo bench -p dlm-bench --bench serve_load                     # one server, full load
-//! cargo bench -p dlm-bench --bench serve_load -- --smoke          # reduced, for CI
-//! cargo bench -p dlm-bench --bench serve_load -- --transport binary --batch 8
-//! cargo bench -p dlm-bench --bench serve_load -- --router         # router + 2 backends
-//! cargo bench -p dlm-bench --bench serve_load -- --smoke --router # CI router smoke
-//! cargo bench -p dlm-bench --bench serve_load -- --router --kill-one  # elasticity drill
-//! cargo bench -p dlm-bench --bench serve_load -- --smoke --scenario broadcast --scenario storm
-//! cargo bench -p dlm-bench --bench serve_load -- --digg-dir data/digg # Digg-2009 CSV replay
+//! cargo bench -p dlm-bench --bench serve_load                          # the whole table
+//! cargo bench -p dlm-bench --bench serve_load -- story-drill viral     # chosen runs
+//! cargo bench -p dlm-bench --bench serve_load -- --digg-dir data/digg  # digg CSVs from DIR
 //! ```
 //!
-//! Single-server mode writes `BENCH_serve.json`
-//! (`dlm-bench/serve/v4`: one entry in `runs` per measured
-//! configuration, each carrying server-side per-verb service-time
-//! quantiles from the scraped `metrics` histogram snapshot); router
-//! mode fronts **two** backend processes' worth of server state with a
-//! `dlm-router` tier and writes `BENCH_router.json`
-//! (`dlm-bench/router/v3`). Both go through the `dlm_bench::artifact`
-//! schema registry, so a malformed artifact fails the run. Gates make
-//! every mode a CI check, not just a stopwatch:
+//! Workloads:
 //!
-//! * **protocol gate** — every request must come back `"ok": true`
-//!   (batch sub-responses are unwrapped and checked individually);
-//! * **determinism gate (single)** — after streaming identical vote
-//!   streams, all clients issue the same forecast and every response's
-//!   model section must be byte-identical across clients *and*
-//!   bit-identical to an offline fit+predict on the batch-built
-//!   observation — whichever framing and batching carried the votes;
-//! * **routing gate (router)** — the *entire response stream* each
-//!   client sees through the router (opens, ingests, forecasts) must be
-//!   byte-identical to what the same request stream gets from a single
-//!   direct server, and the router's aggregated `stats` cache counters
-//!   must equal the sum over its backends;
-//! * **metrics gate** — after the replay each mode scrapes the
-//!   `metrics` verb over the wire and the server-side per-verb request
-//!   counters must equal the client-side counts exactly (the router
-//!   run checks its tier counters); with `DLM_OBS_SCRAPE_OUT` set, the
-//!   text exposition is written there (the CI `obs-smoke` artifact);
-//! * **scenario soak (`--scenario <regime>`, repeatable, and/or
-//!   `--digg-dir <dir>`)** — replays `dlm-scenarios` factory cascades
-//!   (or Digg-2009-format CSVs, generating the synthetic fixture when
-//!   the directory is empty) through a graph-only direct server *and* a
-//!   routed two-backend tier, gating per regime on protocol behavior
-//!   (storm regimes' late votes must be *rejected*), routed-vs-direct
-//!   byte identity, served-vs-offline bit identity, slice
-//!   re-derivation from `(regime, seed, index)`, per-regime metrics
-//!   (`dlm_cascades_opened_total`), and an Eq.-8 accuracy floor;
-//!   writes `BENCH_scenarios.json` (`dlm-bench/scenarios/v1`);
-//! * **elasticity gate (`--kill-one`)** — three backends with
-//!   `data_replicas: 2`: after the load phase one backend is drained
-//!   (snapshot handoff, `handoff_ms`), a second is killed outright and
-//!   `remove`d (`remap_fraction`), and every client's gate forecast is
-//!   re-probed after each transition — `lost_responses` must stay 0 and
-//!   every probed byte must match the pre-kill answer.
+//! * **story** — one simulated `s1` story (world scale 0.06, horizon 5,
+//!   seed 13) replayed by 4 clients as `story-c0`..`story-c3`, one clean
+//!   delivery per hour;
+//! * **regimes** — the first 4 cascades of a factory regime's stream;
+//! * **digg** — the 3 most popular stories of Digg-2009-format CSVs in
+//!   `--digg-dir` (the synthetic fixture is written there when the
+//!   directory has none; without the flag, to a temporary directory).
 //!
-//! The process exits nonzero on any gate failure.
+//! Each cascade is one logical request stream: `open`; per delivery an
+//! `ingest` (which must fail exactly when the delivery is late) and,
+//! after a clean delivery, a next-hour `forecast`; then the gate
+//! forecast with `through: 2`. A run's transport and batch size apply
+//! only at send time: with `batch > 1` that many consecutive hour-steps
+//! ride one `batch` line and every item is checked on its own.
+//!
+//! Gates, per run (the process exits nonzero when any fails):
+//!
+//! * **protocol** — every logical request's ok-ness matches its
+//!   expectation;
+//! * **offline identity** — each cascade's gate forecast equals an
+//!   offline fit+predict on its accepted votes, bit for bit;
+//! * **accuracy** — the DL model's mean Eq.-8 accuracy on the held-out
+//!   hours is at least the workload's floor (story: tracked only);
+//! * **routing** — the routed tier's whole response stream is
+//!   byte-identical to the direct tier's, and the router's aggregated
+//!   `stats` cache counters equal the per-backend sums;
+//! * **metrics** — `metrics` scrapes of both tiers: per-verb request,
+//!   wire, batch, error and per-regime open counters equal the
+//!   client-side counts (with `DLM_OBS_SCRAPE_OUT` set, every text
+//!   exposition is appended there);
+//! * **slice** — a regime's last cascade re-derives bit-identically from
+//!   `(regime, seed, index)`; digg CSVs re-parse to the same dataset;
+//! * **drill** (`story-drill`) — three backends with `data_replicas: 2`:
+//!   drain one (`handoff_ms`), kill and `remove` another
+//!   (`remap_fraction`), restart it and `rejoin` (`rejoin_ms`,
+//!   `repair_count`), re-probing every gate forecast after each step;
+//!   `lost_responses` must be 0.
+//!
+//! Writes `BENCH_serve.json` (`dlm-bench/serve/v5`, one `runs` entry per
+//! run) through the `dlm_bench::artifact` schema registry.
 
-use criterion::SampleStats;
 use dlm_bench::artifact;
 use dlm_cascade::hops::hop_density_matrix;
 use dlm_cluster::ring::{remap_fraction, HashRing};
@@ -77,16 +68,37 @@ use dlm_data::{DiggDataset, SimulationConfig, StoryPreset, SyntheticWorld, Vote,
 use dlm_graph::DiGraph;
 use dlm_router::{RouterConfig, RouterState};
 use dlm_scenarios::{
-    digg_fixture, find_regime, generate_batch, Delivery, DiggFixtureConfig, ScenarioStream,
+    catalog, digg_fixture, find_regime, generate_batch, Delivery, DiggFixtureConfig, ScenarioStream,
 };
 use dlm_serve::server::{DlmServer, ServeConfig, ServerState};
 use dlm_serve::{Json, LineClient, Transport};
 use std::net::SocketAddr;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Instant;
 
 const MAX_HOPS: u32 = 4;
 const ROUTER_BACKENDS: usize = 2;
+
+/// Cascades (one concurrent client each) in a story or regime workload.
+const CLIENTS: usize = 4;
+
+/// Seed of every regime stream. Recorded in the artifact so a failing
+/// cascade is nameable as `(regime, SCENARIO_SEED, index)` and
+/// re-derivable anywhere — see `docs/SCENARIOS.md`.
+const SCENARIO_SEED: u64 = 42;
+
+/// Observed hours the gate forecast (and its offline mirror) fits on;
+/// gate hours are everything after, up to the horizon.
+const OBSERVE_THROUGH: u32 = 2;
+
+/// World scale and horizon of the simulated story workload.
+const STORY_SCALE: f64 = 0.06;
+const STORY_HORIZON: u32 = 5;
+
+/// Hours each digg story is replayed and forecast over, and how many of
+/// the most popular stories are replayed.
+const DIGG_HORIZON: u32 = 8;
+const DIGG_STORIES: usize = 3;
 
 /// The latency-focused lineup: the paper's fixed-parameter DL plus the
 /// cheap baselines (calibration-heavy specs belong to the evaluation
@@ -111,271 +123,486 @@ fn serve_config() -> ServeConfig {
     }
 }
 
-/// How the clients speak to the server: which framing each connection
-/// negotiates and how many logical requests ride one wire line.
+/// Where a run's cascades come from.
 #[derive(Clone, Copy)]
-struct LoadOpts {
-    transport: Transport,
-    /// Hour-steps coalesced into one `batch` line (`1` = one request
-    /// per line, the pre-batch wire behavior).
-    batch: usize,
+enum Workload {
+    Story,
+    /// A `dlm-scenarios` catalog regime, by name.
+    Regime(&'static str),
+    Digg,
 }
 
-struct Client {
-    inner: LineClient,
-}
-
-impl Client {
-    fn connect(addr: SocketAddr) -> Self {
-        Self {
-            inner: LineClient::connect(addr).expect("connect"),
+impl Workload {
+    /// The `regime` tag cascades are opened with; it also keys the
+    /// per-regime open counter and the accuracy floor.
+    fn label(self) -> &'static str {
+        match self {
+            Self::Story => "story",
+            Self::Regime(name) => name,
+            Self::Digg => "digg",
         }
     }
+}
 
-    fn connect_with(addr: SocketAddr, transport: Transport) -> Self {
-        let mut client = Self::connect(addr);
-        client.inner.negotiate(transport).expect("negotiate");
-        client
-    }
+/// One row of the run table.
+#[derive(Clone, Copy)]
+struct Run {
+    name: &'static str,
+    workload: Workload,
+    transport: Transport,
+    /// Hour-steps coalesced into one `batch` line (`1` = one request
+    /// per line).
+    batch: usize,
+    /// Whether the routed tier runs the elasticity drill after its gates.
+    drill: bool,
+}
 
-    /// One request/response round trip; returns (raw response, seconds).
-    fn round_trip(&mut self, line: &str) -> (String, f64) {
-        let start = Instant::now();
-        let response = self.inner.send_raw(line).expect("round trip");
-        (response, start.elapsed().as_secs_f64())
+const fn plain(name: &'static str, workload: Workload) -> Run {
+    Run {
+        name,
+        workload,
+        transport: Transport::Lines,
+        batch: 1,
+        drill: false,
     }
 }
 
-/// What one client replays: one cascade's worth of hour-sliced votes.
-struct Scenario<'a> {
+/// Every run, in order; `serve_load` with no run names executes them all.
+const PLAN: &[Run] = &[
+    plain("story", Workload::Story),
+    Run {
+        transport: Transport::Binary,
+        batch: 3,
+        ..plain("story-binary-batch3", Workload::Story)
+    },
+    Run {
+        drill: true,
+        ..plain("story-drill", Workload::Story)
+    },
+    plain("broadcast", Workload::Regime("broadcast")),
+    plain("storm", Workload::Regime("storm")),
+    plain("digg", Workload::Digg),
+];
+
+/// A `PLAN` row by name, else a plain soak of the catalog regime so named.
+fn resolve(name: &str) -> Option<Run> {
+    PLAN.iter()
+        .find(|run| run.name == name)
+        .copied()
+        .or_else(|| {
+            find_regime(name)
+                .ok()
+                .map(|regime| plain(regime.name, Workload::Regime(regime.name)))
+        })
+}
+
+/// Per-workload Eq.-8 accuracy floor for the paper's fixed-parameter DL
+/// model on the held-out hours. The factory regimes are intentionally
+/// adversarial — broadcast and storm shapes are exactly what the DL
+/// PDE does *not* model — so the floors encode "never regress below
+/// today's behavior", not the paper's 92–99%. `None` = track only.
+/// (Measured at seed 42: broadcast ≈ 0.25, viral ≈ 0.22,
+/// bridged ≈ 0.34, erdos-viral ≈ 0.17, surge ≈ 0.10, storm ≈ 0.16,
+/// digg fixture ≈ 0.23 — the floors sit at roughly half of those.)
+fn accuracy_floor(label: &str) -> Option<f64> {
+    match label {
+        "broadcast" => Some(0.12),
+        "viral" => Some(0.10),
+        "bridged" => Some(0.15),
+        "erdos-viral" => Some(0.08),
+        "surge" => Some(0.04),
+        "storm" => Some(0.07),
+        "digg" => Some(0.10),
+        _ => None,
+    }
+}
+
+/// One replayable cascade in wire form — a factory
+/// [`dlm_scenarios::ScenarioCascade`], the simulated story, or one
+/// story of a Digg dataset.
+struct SoakCascade {
+    wire_name: String,
     initiator: usize,
     submit: u64,
     horizon: u32,
-    votes_by_hour: &'a [Vec<(u64, usize)>],
-    gate_hours: &'a [u32],
-    observe_through: u32,
+    deliveries: Vec<Delivery>,
 }
 
-impl Scenario<'_> {
-    fn ingest_item(&self, cascade: &str, hour0: usize) -> String {
-        let votes = &self.votes_by_hour[hour0];
-        let body: Vec<String> = votes
+/// A logical request line and whether the server must accept it.
+type Step = (String, bool);
+
+impl SoakCascade {
+    /// The votes a correct server ends up counting, as batch-side
+    /// [`Vote`]s — the offline half of the identity gate.
+    fn accepted_votes(&self, story: u32) -> Vec<Vote> {
+        self.deliveries
             .iter()
-            .map(|&(ts, voter)| format!("[{ts},{voter}]"))
-            .collect();
-        format!(
-            r#"{{"type":"ingest","cascade":"{cascade}","votes":[{}],"now":{}}}"#,
-            body.join(","),
-            self.submit + (hour0 as u64 + 1) * 3600,
-        )
-    }
-
-    fn forecast_item(&self, cascade: &str, hour: u32) -> String {
-        format!(r#"{{"type":"forecast","cascade":"{cascade}","hours":[{hour}]}}"#)
-    }
-}
-
-/// What one client measured.
-struct ClientRun {
-    ingest_latencies: Vec<f64>,
-    forecast_latencies: Vec<f64>,
-    /// Every raw response line, in request order — the router gate
-    /// byte-compares this whole stream against a direct server's.
-    responses: Vec<String>,
-    /// The serialized `models` section of the shared gate forecast.
-    gate_models: String,
-    ok_responses: usize,
-    /// Logical requests (batch sub-requests counted individually).
-    requests: usize,
-    /// Wire round trips (a batch line counts once).
-    wire_lines: usize,
-}
-
-fn drive_client(addr: SocketAddr, id: usize, scenario: &Scenario, opts: LoadOpts) -> ClientRun {
-    let mut client = Client::connect_with(addr, opts.transport);
-    let cascade = format!("c{id}");
-    let mut run = ClientRun {
-        ingest_latencies: Vec::new(),
-        forecast_latencies: Vec::new(),
-        responses: Vec::new(),
-        gate_models: String::new(),
-        ok_responses: 0,
-        requests: 0,
-        wire_lines: 0,
-    };
-    let check_one = |run: &mut ClientRun, value: &Json, raw: &str| {
-        run.requests += 1;
-        if value.get("ok").and_then(Json::as_bool) == Some(true) {
-            run.ok_responses += 1;
-        } else {
-            eprintln!("client {id}: NOT OK: {raw}");
-        }
-    };
-    let check = |run: &mut ClientRun, raw: String| {
-        run.wire_lines += 1;
-        match Json::parse(&raw) {
-            Ok(value) => check_one(run, &value, &raw),
-            Err(_) => {
-                run.requests += 1;
-                eprintln!("client {id}: UNPARSEABLE: {raw}");
-            }
-        }
-        run.responses.push(raw);
-    };
-    // A batch line answers once; its sub-responses are unwrapped and
-    // each counted as one logical request.
-    let check_batch = |run: &mut ClientRun, raw: String, expected: usize| {
-        run.wire_lines += 1;
-        let parsed = Json::parse(&raw).ok();
-        let results = parsed
-            .as_ref()
-            .filter(|v| v.get("ok").and_then(Json::as_bool) == Some(true))
-            .and_then(|v| v.get("results"))
-            .and_then(Json::as_array);
-        match results {
-            Some(results) if results.len() == expected => {
-                for item in results {
-                    check_one(run, item, &raw);
-                }
-            }
-            _ => {
-                run.requests += expected;
-                eprintln!("client {id}: BAD BATCH RESPONSE: {raw}");
-            }
-        }
-        run.responses.push(raw);
-    };
-
-    let (raw, _) = client.round_trip(&format!(
-        r#"{{"type":"open","cascade":"{cascade}","initiator":{initiator},"max_hops":{MAX_HOPS},"horizon":{horizon},"submit_time":{submit}}}"#,
-        initiator = scenario.initiator,
-        horizon = scenario.horizon,
-        submit = scenario.submit,
-    ));
-    check(&mut run, raw);
-
-    if opts.batch <= 1 {
-        for hour0 in 0..scenario.votes_by_hour.len() {
-            let hour = hour0 as u32 + 1;
-            let (raw, secs) = client.round_trip(&scenario.ingest_item(&cascade, hour0));
-            check(&mut run, raw);
-            run.ingest_latencies.push(secs);
-
-            // Forecast the next hour from everything observed so far —
-            // the online serving pattern (observations grow, horizon
-            // slides).
-            let (raw, secs) = client.round_trip(&scenario.forecast_item(&cascade, hour + 1));
-            check(&mut run, raw);
-            run.forecast_latencies.push(secs);
-        }
-    } else {
-        // Same logical request sequence — ingest hour h, forecast hour
-        // h+1, in order — but `batch` hour-steps ride one wire line.
-        let hours: Vec<usize> = (0..scenario.votes_by_hour.len()).collect();
-        for chunk in hours.chunks(opts.batch) {
-            let items: Vec<String> = chunk
-                .iter()
-                .flat_map(|&hour0| {
-                    [
-                        scenario.ingest_item(&cascade, hour0),
-                        scenario.forecast_item(&cascade, hour0 as u32 + 2),
-                    ]
+            .filter(|d| !d.late)
+            .flat_map(|d| {
+                d.votes.iter().map(move |&(timestamp, voter)| Vote {
+                    timestamp,
+                    voter,
+                    story,
                 })
-                .collect();
-            let (raw, secs) = client.round_trip(&format!(
-                r#"{{"type":"batch","requests":[{}]}}"#,
-                items.join(",")
-            ));
-            check_batch(&mut run, raw, items.len());
-            run.ingest_latencies.push(secs);
-        }
+            })
+            .collect()
     }
 
-    // The shared determinism gate: identical observation, identical
-    // request, so the model section must be byte-identical everywhere.
-    // Always a single line (never batched), so the gate isolates the
-    // forecast path from the batching machinery.
-    let gate_list: Vec<String> = scenario
-        .gate_hours
-        .iter()
-        .map(ToString::to_string)
-        .collect();
-    let (raw, secs) = client.round_trip(&format!(
-        r#"{{"type":"forecast","cascade":"{cascade}","hours":[{}],"through":{}}}"#,
-        gate_list.join(","),
-        scenario.observe_through,
-    ));
-    run.forecast_latencies.push(secs);
-    let parsed = Json::parse(&raw).expect("gate response parses");
-    run.gate_models = parsed
-        .get("models")
-        .map(ToString::to_string)
-        .unwrap_or_default();
-    check(&mut run, raw);
-    run
+    /// The cascade's logical request stream, grouped for sending: the
+    /// `open`, one group per delivery (its `ingest`, plus the next-hour
+    /// forecast after a clean delivery), and the gate forecast.
+    fn script(&self, regime: &str, gate_hours: &[u32]) -> Vec<Vec<Step>> {
+        let name = &self.wire_name;
+        let mut groups = vec![vec![(
+            format!(
+                r#"{{"type":"open","cascade":"{name}","initiator":{},"max_hops":{MAX_HOPS},"horizon":{},"submit_time":{},"regime":"{regime}"}}"#,
+                self.initiator, self.horizon, self.submit,
+            ),
+            true,
+        )]];
+        let mut closed = 0u32;
+        for delivery in &self.deliveries {
+            let votes: Vec<String> = delivery
+                .votes
+                .iter()
+                .map(|&(ts, voter)| format!("[{ts},{voter}]"))
+                .collect();
+            let mut group = vec![(
+                format!(
+                    r#"{{"type":"ingest","cascade":"{name}","votes":[{}],"now":{}}}"#,
+                    votes.join(","),
+                    delivery.now,
+                ),
+                !delivery.late,
+            )];
+            if !delivery.late {
+                // Forecast the next hour from everything observed so
+                // far — the online pattern (observations grow, horizon
+                // slides).
+                closed += 1;
+                group.push((
+                    format!(
+                        r#"{{"type":"forecast","cascade":"{name}","hours":[{}]}}"#,
+                        closed + 1
+                    ),
+                    true,
+                ));
+            }
+            groups.push(group);
+        }
+        let gate_list: Vec<String> = gate_hours.iter().map(ToString::to_string).collect();
+        groups.push(vec![(
+            format!(
+                r#"{{"type":"forecast","cascade":"{name}","hours":[{}],"through":{OBSERVE_THROUGH}}}"#,
+                gate_list.join(","),
+            ),
+            true,
+        )]);
+        groups
+    }
 }
 
-/// Replays the scenario from `clients` concurrent connections against
-/// one address. Returns the per-client measurements and the wall time.
-fn replay(
+/// Buckets a vote log into one clean delivery per hour, `now` at each
+/// hour's end; votes past `horizon` are not replayed.
+fn hourly_deliveries(label: &str, votes: &[Vote], submit: u64, horizon: u32) -> Vec<Delivery> {
+    let mut by_hour: Vec<Vec<(u64, usize)>> = vec![Vec::new(); horizon as usize];
+    let mut dropped = 0usize;
+    for vote in votes {
+        match by_hour.get_mut(((vote.timestamp - submit) / 3600) as usize) {
+            Some(bucket) => bucket.push((vote.timestamp, vote.voter)),
+            None => dropped += 1,
+        }
+    }
+    if dropped > 0 {
+        eprintln!("[{label}] {dropped} votes after hour {horizon} not replayed");
+    }
+    by_hour
+        .into_iter()
+        .enumerate()
+        .map(|(hour0, votes)| Delivery {
+            now: submit + (hour0 as u64 + 1) * 3600,
+            votes,
+            late: false,
+        })
+        .collect()
+}
+
+/// A workload ready to replay.
+struct Built {
+    graph: Arc<DiGraph>,
+    cascades: Vec<SoakCascade>,
+    /// The slice gate's verdict; `None` when there is no stream to
+    /// re-derive.
+    slice_identical: Option<bool>,
+}
+
+/// The simulated story, replayed by `CLIENTS` cascades that share one
+/// observation.
+fn story_workload() -> Built {
+    eprintln!("[story] generating synthetic world (scale {STORY_SCALE})...");
+    let world =
+        SyntheticWorld::generate(WorldConfig::default().scaled(STORY_SCALE)).expect("world");
+    let story = simulate_story(
+        &world,
+        &StoryPreset::s1(),
+        SimulationConfig {
+            hours: STORY_HORIZON + 2,
+            substeps: 2,
+            seed: 13,
+        },
+    )
+    .expect("simulation");
+    let deliveries = hourly_deliveries("story", story.votes(), story.submit_time(), STORY_HORIZON);
+    let cascades = (0..CLIENTS)
+        .map(|i| SoakCascade {
+            wire_name: format!("story-c{i}"),
+            initiator: story.initiator(),
+            submit: story.submit_time(),
+            horizon: STORY_HORIZON,
+            deliveries: deliveries.clone(),
+        })
+        .collect();
+    Built {
+        graph: Arc::new(world.graph().clone()),
+        cascades,
+        slice_identical: None,
+    }
+}
+
+/// The first `CLIENTS` cascades of a regime's stream. Slice gate: the
+/// last of them regenerated cold — fresh graph, different parallelism —
+/// must be bit-identical.
+fn regime_workload(name: &'static str) -> Built {
+    let regime = find_regime(name).expect("catalog regime");
+    let mut stream = ScenarioStream::new(regime, SCENARIO_SEED).expect("scenario stream");
+    let graph = stream.graph().clone();
+    let generated: Vec<dlm_scenarios::ScenarioCascade> = stream.by_ref().take(CLIENTS).collect();
+    let last = CLIENTS as u64 - 1;
+    let rederived = generate_batch(regime, SCENARIO_SEED, last, 1, Parallelism::Fixed(2))
+        .expect("slice re-derivation");
+    let slice_identical =
+        rederived[0].canonical_bytes() == generated[last as usize].canonical_bytes();
+    if !slice_identical {
+        eprintln!(
+            "[{name}] SLICE GATE FAILED: ({name}, {SCENARIO_SEED}, {last}) did not \
+             re-derive bit-identically"
+        );
+    }
+    let cascades = generated
+        .into_iter()
+        .enumerate()
+        .map(|(i, c)| SoakCascade {
+            wire_name: format!("{name}-c{i}"),
+            initiator: c.initiator,
+            submit: c.submit_time,
+            horizon: c.horizon,
+            deliveries: c.deliveries,
+        })
+        .collect();
+    Built {
+        graph,
+        cascades,
+        slice_identical: Some(slice_identical),
+    }
+}
+
+/// Digg-2009-format CSVs → loader → follower graph, one cascade per top
+/// story. The synthetic fixture is written to `dir` when it has no CSVs
+/// (to a temporary directory, removed after loading, when `dir` is
+/// `None`). Slice gate: parsing the same bytes twice must build the
+/// identical dataset.
+fn digg_workload(dir: Option<&str>) -> Built {
+    let temp = dir
+        .is_none()
+        .then(|| std::env::temp_dir().join(format!("dlm-digg-fixture-{}", std::process::id())));
+    let dir: PathBuf = dir.map_or_else(|| temp.clone().expect("temp dir"), PathBuf::from);
+    let votes_path = dir.join("digg_votes.csv");
+    let friends_path = dir.join("digg_friends.csv");
+    if !votes_path.exists() || !friends_path.exists() {
+        std::fs::create_dir_all(&dir).expect("create digg dir");
+        let fixture = digg_fixture(&DiggFixtureConfig::default()).expect("digg fixture");
+        fixture
+            .write_votes_csv(std::fs::File::create(&votes_path).expect("create votes csv"))
+            .expect("write votes csv");
+        fixture
+            .write_friends_csv(std::fs::File::create(&friends_path).expect("create friends csv"))
+            .expect("write friends csv");
+        eprintln!(
+            "[digg] no CSVs in {}; wrote the synthetic fixture",
+            dir.display()
+        );
+    }
+    let open = |p: &Path| std::fs::File::open(p).expect("open digg csv");
+    let read =
+        || DiggDataset::read_csv(open(&votes_path), open(&friends_path)).expect("parse digg csvs");
+    let dataset = read();
+    let slice_identical = dataset == read();
+    if !slice_identical {
+        eprintln!("[digg] SLICE GATE FAILED: re-parsing the CSVs changed the dataset");
+    }
+    if let Some(temp) = temp {
+        std::fs::remove_dir_all(temp).expect("remove temporary digg dir");
+    }
+    let stories: Vec<u32> = dataset
+        .stories_by_popularity()
+        .into_iter()
+        .take(DIGG_STORIES)
+        .map(|(story, _)| story)
+        .collect();
+    eprintln!(
+        "[digg] {} votes, {} users; replaying stories {stories:?}",
+        dataset.votes().len(),
+        dataset.user_count(),
+    );
+    let cascades = stories
+        .iter()
+        .map(|&story| {
+            let votes = dataset.story_votes(story);
+            let submit = votes.first().expect("story has votes").timestamp;
+            SoakCascade {
+                wire_name: format!("digg-s{story}"),
+                initiator: dataset.initiator(story).expect("story initiator"),
+                submit,
+                horizon: DIGG_HORIZON,
+                deliveries: hourly_deliveries(
+                    &format!("digg-s{story}"),
+                    &votes,
+                    submit,
+                    DIGG_HORIZON,
+                ),
+            }
+        })
+        .collect();
+    Built {
+        graph: Arc::new(dataset.follower_graph()),
+        cascades,
+        slice_identical: Some(slice_identical),
+    }
+}
+
+/// What one client saw.
+#[derive(Default)]
+struct Replay {
+    /// Every raw response line in send order (the routed tier is
+    /// byte-compared against the direct tier through this).
+    responses: Vec<String>,
+    batch_lines: usize,
+    /// Logical responses whose ok-ness contradicted their expectation.
+    mismatches: usize,
+    late_rejections: usize,
+}
+
+impl Replay {
+    fn check(&mut self, name: &str, ok: Option<bool>, want: bool, raw: &str) {
+        if ok != Some(want) {
+            self.mismatches += 1;
+            eprintln!("[{name}] expected ok={want}, got: {raw}");
+        } else if !want {
+            self.late_rejections += 1;
+        }
+    }
+}
+
+fn ok_of(value: &Json) -> Option<bool> {
+    value.get("ok").and_then(Json::as_bool)
+}
+
+/// What goes out as one wire line: a single request, or a `batch` of
+/// several.
+enum Unit<'a> {
+    Line(&'a Step),
+    Batch(Vec<&'a Step>),
+}
+
+/// Sends one cascade's script over one connection in the run's framing:
+/// each request on its own line, or with `batch > 1` that many
+/// consecutive hour-steps on one `batch` line.
+fn drive(addr: SocketAddr, name: &str, script: &[Vec<Step>], run: &Run) -> Replay {
+    let mut client = LineClient::connect(addr).expect("connect");
+    client.negotiate(run.transport).expect("negotiate");
+    let (open, rest) = script.split_first().expect("script opens");
+    let (gate, hours) = rest.split_last().expect("script ends with the gate");
+    let mut units: Vec<Unit> = open.iter().map(Unit::Line).collect();
+    if run.batch > 1 {
+        units.extend(
+            hours
+                .chunks(run.batch)
+                .map(|chunk| Unit::Batch(chunk.iter().flatten().collect())),
+        );
+    } else {
+        units.extend(hours.iter().flatten().map(Unit::Line));
+    }
+    units.extend(gate.iter().map(Unit::Line));
+
+    let mut replay = Replay::default();
+    for unit in units {
+        match unit {
+            Unit::Line((line, want)) => {
+                let raw = client.send_raw(line).expect("round trip");
+                let ok = Json::parse(&raw).ok().as_ref().and_then(ok_of);
+                replay.check(name, ok, *want, &raw);
+                replay.responses.push(raw);
+            }
+            Unit::Batch(steps) => {
+                let items: Vec<&str> = steps.iter().map(|(line, _)| line.as_str()).collect();
+                let raw = client
+                    .send_raw(&format!(
+                        r#"{{"type":"batch","requests":[{}]}}"#,
+                        items.join(",")
+                    ))
+                    .expect("batch round trip");
+                replay.batch_lines += 1;
+                let parsed = Json::parse(&raw).ok();
+                let results = parsed
+                    .as_ref()
+                    .filter(|v| ok_of(v) == Some(true))
+                    .and_then(|v| v.get("results"))
+                    .and_then(Json::as_array)
+                    .filter(|results| results.len() == steps.len());
+                for (i, (_, want)) in steps.iter().enumerate() {
+                    let ok = results.and_then(|results| ok_of(&results[i]));
+                    replay.check(name, ok, *want, &raw);
+                }
+                replay.responses.push(raw);
+            }
+        }
+    }
+    replay
+}
+
+/// Replays every script from its own concurrent connection.
+fn replay_all(
     addr: SocketAddr,
-    clients: usize,
-    scenario: &Scenario,
-    opts: LoadOpts,
-) -> (Vec<ClientRun>, f64) {
-    let wall = Instant::now();
-    let runs: Vec<ClientRun> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..clients)
-            .map(|id| scope.spawn(move || drive_client(addr, id, scenario, opts)))
+    names: &[&str],
+    scripts: &[Vec<Vec<Step>>],
+    run: &Run,
+) -> Vec<Replay> {
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = names
+            .iter()
+            .zip(scripts)
+            .map(|(name, script)| scope.spawn(move || drive(addr, name, script, run)))
             .collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("client"))
             .collect()
-    });
-    (runs, wall.elapsed().as_secs_f64())
+    })
 }
 
-fn stats_json(samples: &[f64]) -> String {
-    match SampleStats::from_samples(samples) {
-        Some(s) => format!(
-            "{{\"n\": {}, \"mean_ms\": {:.3}, \"stddev_ms\": {:.3}, \"p50_ms\": {:.3}, \
-             \"p95_ms\": {:.3}, \"max_ms\": {:.3}}}",
-            s.n,
-            s.mean * 1e3,
-            s.stddev * 1e3,
-            s.p50 * 1e3,
-            s.p95 * 1e3,
-            s.max * 1e3,
-        ),
-        None => "null".into(),
-    }
-}
-
-fn print_latencies(ingest: &[f64], forecast: &[f64]) {
-    if let (Some(i), Some(f)) = (
-        SampleStats::from_samples(ingest),
-        SampleStats::from_samples(forecast),
-    ) {
-        eprintln!(
-            "ingest   p50 {:>8.2} ms  p95 {:>8.2} ms  (n {})\nforecast p50 {:>8.2} ms  p95 {:>8.2} ms  (n {})",
-            i.p50 * 1e3,
-            i.p95 * 1e3,
-            i.n,
-            f.p50 * 1e3,
-            f.p95 * 1e3,
-            f.n,
-        );
-    }
+/// One request over a fresh connection.
+fn request(addr: SocketAddr, line: &str) -> Json {
+    let raw = LineClient::connect(addr)
+        .and_then(|mut client| client.send_raw(line))
+        .expect("round trip");
+    Json::parse(&raw).expect("response parses")
 }
 
 /// One `metrics` scrape over the wire: the parsed response plus its
 /// structured snapshot (empty on a malformed response — the caller's
 /// counter checks then fail loudly instead of panicking mid-bench).
 fn scrape_metrics(addr: SocketAddr) -> (Json, dlm_obs::MetricsSnapshot) {
-    let mut client = Client::connect(addr);
-    let (raw, _) = client.round_trip(r#"{"type":"metrics"}"#);
-    let parsed = Json::parse(&raw).expect("metrics response parses");
+    let parsed = request(addr, r#"{"type":"metrics"}"#);
     let snapshot = parsed
         .get("snapshot")
         .and_then(|s| dlm_serve::snapshot_from_json(s).ok())
@@ -401,977 +628,68 @@ fn record_scrape(label: &str, response: &Json) {
         .open(&path)
         .expect("open scrape out");
     write!(file, "# scrape: {label}\n{exposition}\n").expect("write scrape");
-    eprintln!("[{label}] scrape appended to {path}");
 }
 
-/// The per-verb `service_times` object for the serve artifact:
-/// server-side p50/p95 (ms) read from the scraped `dlm_service_micros`
-/// histograms, one entry per verb that recorded observations.
-fn service_times_json(snapshot: &dlm_obs::MetricsSnapshot) -> String {
-    let entries: Vec<String> = dlm_serve::telemetry::VERB_LABELS
-        .iter()
-        .filter_map(|&verb| {
-            let h = snapshot.histogram("dlm_service_micros", &[("verb", verb)])?;
-            if h.count == 0 {
-                return None;
-            }
-            let ms = |q: f64| h.quantile(q).unwrap_or(0.0) / 1e3;
-            Some(format!(
-                "\"{verb}\": {{\"count\": {}, \"p50_ms\": {:.3}, \"p95_ms\": {:.3}}}",
-                h.count,
-                ms(0.5),
-                ms(0.95),
-            ))
-        })
-        .collect();
-    format!("{{{}}}", entries.join(", "))
-}
+/// One expected counter: series name, labels, value.
+type Expected<'a> = (&'a str, Vec<(&'a str, &'a str)>, usize);
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let flag = |name: &str| args.iter().any(|a| a == name);
-    let value_of = |name: &str| {
-        args.iter().position(|a| a == name).map(|i| {
-            args.get(i + 1).unwrap_or_else(|| {
-                eprintln!("missing value for {name}");
-                std::process::exit(2);
-            })
-        })
-    };
-    let smoke = flag("--smoke");
-    let router_mode = flag("--router");
-    let kill_one = flag("--kill-one");
-    let transport = match value_of("--transport").map(String::as_str) {
-        Some("binary") => Transport::Binary,
-        Some("lines") | None => Transport::Lines,
-        Some(other) => {
-            eprintln!("unknown transport `{other}` (lines|binary)");
-            std::process::exit(2);
-        }
-    };
-    let batch: usize = value_of("--batch").map_or(1, |v| {
-        v.parse().ok().filter(|&n| n > 0).unwrap_or_else(|| {
-            eprintln!("--batch takes a positive integer");
-            std::process::exit(2);
-        })
-    });
-    // `--scenario` is repeatable; collect every occurrence in order.
-    let scenario_regimes: Vec<String> = args
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| *a == "--scenario")
-        .map(|(i, _)| {
-            args.get(i + 1).cloned().unwrap_or_else(|| {
-                eprintln!("missing value for --scenario");
-                std::process::exit(2);
-            })
-        })
-        .collect();
-    let digg_dir = value_of("--digg-dir").cloned();
-    assert!(
-        router_mode || !kill_one,
-        "--kill-one requires --router (there is nothing to fail over to)"
-    );
-    if !scenario_regimes.is_empty() || digg_dir.is_some() {
-        assert!(
-            !router_mode && batch == 1,
-            "--scenario/--digg-dir is its own mode (it drives both tiers itself; \
-             deliveries are semantic units, so --batch does not apply)"
-        );
-        if let Ok(path) = std::env::var("DLM_OBS_SCRAPE_OUT") {
-            std::fs::write(&path, "").expect("truncate scrape out");
-        }
-        run_scenario_soak(&scenario_regimes, digg_dir.as_deref(), smoke, transport);
-        return;
-    }
-    let (scale, clients, horizon) = if smoke {
-        (0.06, 4, 5u32)
-    } else {
-        // Full mode sizes the client herd to the machine so throughput
-        // numbers are comparable across runners (recorded alongside
-        // `hardware_threads` in the artifact).
-        (0.15, artifact::hardware_threads().clamp(8, 16), 8u32)
-    };
-    let observe_through = 2u32;
-    assert!(
-        clients >= 4,
-        "the load gate requires >= 4 concurrent connections"
-    );
-
-    eprintln!("generating synthetic world (scale {scale})...");
-    let world = SyntheticWorld::generate(WorldConfig::default().scaled(scale)).expect("world");
-    let story = simulate_story(
-        &world,
-        &StoryPreset::s1(),
-        SimulationConfig {
-            hours: horizon + 2,
-            substeps: 2,
-            seed: 13,
-        },
-    )
-    .expect("simulation");
-    let submit = story.submit_time();
-
-    // Bucket the vote log per hour for the replay loop.
-    let mut votes_by_hour: Vec<Vec<(u64, usize)>> = vec![Vec::new(); horizon as usize];
-    for vote in story.votes() {
-        let bucket = ((vote.timestamp - submit) / 3600) as usize;
-        if bucket < votes_by_hour.len() {
-            votes_by_hour[bucket].push((vote.timestamp, vote.voter));
-        }
-    }
-    let replayed: usize = votes_by_hour.iter().map(Vec::len).sum();
-    let gate_hours: Vec<u32> = (observe_through + 1..=horizon).collect();
-    let scenario = Scenario {
-        initiator: story.initiator(),
-        submit,
-        horizon,
-        votes_by_hour: &votes_by_hour,
-        gate_hours: &gate_hours,
-        observe_through,
-    };
-    eprintln!("replaying {replayed} votes over {horizon} hours from {clients} concurrent clients");
-
-    // Start the scrape artifact fresh; each run appends its exposition.
-    if let Ok(path) = std::env::var("DLM_OBS_SCRAPE_OUT") {
-        std::fs::write(&path, "").expect("truncate scrape out");
-    }
-
-    let opts = LoadOpts { transport, batch };
-    if router_mode {
-        run_router_load(&world, &scenario, clients, replayed, smoke, kill_one, opts);
-    } else {
-        run_single_load(&world, &story, &scenario, clients, replayed, smoke, opts);
-    }
-}
-
-/// One measured single-server configuration, ready to serialize as an
-/// entry of the serve artifact's `runs` array.
-struct RunResult {
-    label: String,
-    opts: LoadOpts,
-    requests: usize,
-    wire_lines: usize,
-    wall_secs: f64,
-    throughput: f64,
-    ingest: Vec<f64>,
-    forecast: Vec<f64>,
-    cache: (u64, u64, u64),
-    /// Ready-to-embed JSON object: server-side per-verb p50/p95 from
-    /// the scraped `dlm_service_micros` histograms.
-    service_times: String,
-    protocol_ok: bool,
-    metrics_ok: bool,
-    identical: bool,
-}
-
-impl RunResult {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"label\": \"{label}\", \"transport\": \"{transport}\", \
-             \"batch\": {batch}, \"requests\": {requests}, \"wire_lines\": {wire}, \
-             \"wall_seconds\": {wall:.3}, \"throughput_rps\": {rps:.2}, \
-             \"ingest_latency\": {ingest}, \"forecast_latency\": {forecast}, \
-             \"service_times\": {service_times}, \
-             \"cache\": {{\"hits\": {hits}, \"misses\": {misses}, \"evictions\": {evictions}}}, \
-             \"protocol_ok\": {protocol_ok}, \"metrics_ok\": {metrics_ok}, \
-             \"outputs_identical\": {identical}}}",
-            label = self.label,
-            transport = self.opts.transport.wire_name(),
-            batch = self.opts.batch,
-            requests = self.requests,
-            wire = self.wire_lines,
-            wall = self.wall_secs,
-            rps = self.throughput,
-            ingest = stats_json(&self.ingest),
-            forecast = stats_json(&self.forecast),
-            service_times = self.service_times,
-            hits = self.cache.0,
-            misses = self.cache.1,
-            evictions = self.cache.2,
-            protocol_ok = self.protocol_ok,
-            metrics_ok = self.metrics_ok,
-            identical = self.identical,
-        )
-    }
-
-    fn gates_pass(&self) -> bool {
-        self.protocol_ok && self.metrics_ok && self.identical
-    }
-}
-
-/// Binds a fresh server, replays the scenario, and runs the protocol +
-/// cross-client + served-vs-offline gates.
-fn run_one(
-    world: &SyntheticWorld,
-    story: &dlm_data::Cascade,
-    scenario: &Scenario,
-    clients: usize,
-    opts: LoadOpts,
-) -> RunResult {
-    let label = "single";
-    let state = ServerState::with_world(serve_config(), world.clone()).expect("server state");
-    let mut server = DlmServer::bind("127.0.0.1:0", state).expect("bind");
-    eprintln!(
-        "[{label}] {transport} transport, batch {batch} on {addr}",
-        transport = opts.transport.wire_name(),
-        batch = opts.batch,
-        addr = server.local_addr(),
-    );
-    let (runs, wall_secs) = replay(server.local_addr(), clients, scenario, opts);
-
-    // Protocol gate.
-    let requests: usize = runs.iter().map(|r| r.requests).sum();
-    let wire_lines: usize = runs.iter().map(|r| r.wire_lines).sum();
-    let ok_responses: usize = runs.iter().map(|r| r.ok_responses).sum();
-    let protocol_ok = requests == ok_responses;
-    if !protocol_ok {
-        eprintln!("[{label}] PROTOCOL GATE FAILED: {ok_responses}/{requests} responses ok");
-    }
-
-    // Cross-client determinism gate.
-    let mut identical = runs
-        .windows(2)
-        .all(|pair| pair[0].gate_models == pair[1].gate_models)
-        && !runs[0].gate_models.is_empty();
-    if !identical {
-        eprintln!("[{label}] DETERMINISM GATE FAILED: gate forecasts differ across clients");
-    }
-
-    // Offline bit-identity gate: the served gate forecast must equal a
-    // batch fit+predict on the same observation window.
-    let batch_matrix =
-        hop_density_matrix(world.graph(), story, MAX_HOPS, scenario.horizon).expect("batch matrix");
-    let observed_hours: Vec<u32> = (1..=scenario.observe_through).collect();
-    let observation =
-        Observation::from_matrix(&batch_matrix, &observed_hours).expect("observation");
-    let distances: Vec<u32> = (1..=batch_matrix.max_distance()).collect();
-    let request =
-        PredictionRequest::new(distances.clone(), scenario.gate_hours.to_vec()).expect("request");
-    let registry = ModelRegistry::with_builtins();
-    let served = Json::parse(&runs[0].gate_models).expect("gate models parse");
-    let served = served.as_array().expect("models array");
-    for (mi, spec) in lineup().iter().enumerate() {
-        let fitted = registry
-            .build(spec)
-            .expect("registry build")
-            .fit(&observation)
-            .expect("offline fit");
-        let prediction = fitted.predict(&request).expect("offline predict");
-        let values = served[mi]
-            .get("values")
-            .and_then(Json::as_array)
-            .expect("values");
-        for (di, &d) in distances.iter().enumerate() {
-            let row = values[di].as_array().expect("row");
-            for (hi, &h) in scenario.gate_hours.iter().enumerate() {
-                let served_bits = row[hi].as_f64().map(f64::to_bits);
-                let offline_bits = Some(prediction.at(d, h).expect("cell").to_bits());
-                if served_bits != offline_bits {
-                    eprintln!(
-                        "[{label}] DETERMINISM GATE FAILED: {spec} I({d},{h}) served {served_bits:?} != offline {offline_bits:?}"
-                    );
-                    identical = false;
-                }
-            }
-        }
-    }
-
-    let ingest: Vec<f64> = runs
-        .iter()
-        .flat_map(|r| r.ingest_latencies.clone())
-        .collect();
-    let forecast: Vec<f64> = runs
-        .iter()
-        .flat_map(|r| r.forecast_latencies.clone())
-        .collect();
-    let throughput = requests as f64 / wall_secs.max(1e-9);
-    let state = server.state();
-    let cache = state.cache().stats();
-
-    // Metrics gate: the server's own counters must equal the client-side
-    // counts exactly (a `metrics` request books its own counters only
-    // after its snapshot is taken, so the scrape never counts itself).
-    let (metrics_response, snapshot) = scrape_metrics(server.local_addr());
-    record_scrape(label, &metrics_response);
-    let horizon = scenario.votes_by_hour.len();
-    let batch_lines = if opts.batch > 1 {
-        clients * horizon.div_ceil(opts.batch)
-    } else {
-        0
-    };
-    let expected = [
-        ("open", clients),
-        ("ingest", clients * horizon),
-        ("forecast", clients * (horizon + 1)),
-        ("batch", batch_lines),
-        ("stats", 0),
-        ("metrics", 0),
-        ("invalid", 0),
-    ];
-    let mut metrics_ok = true;
-    for (verb, want) in expected {
-        let got = snapshot.counter("dlm_requests_total", &[("verb", verb)]);
-        if got != Some(want as u64) {
-            metrics_ok = false;
+/// The metrics gate on one scrape: every expected counter reads exactly
+/// its value; a missing series reads as 0 (a counter that never
+/// incremented has no series).
+fn counters_match(
+    label: &str,
+    tier: &str,
+    snapshot: &dlm_obs::MetricsSnapshot,
+    expected: &[Expected],
+) -> bool {
+    let mut ok = true;
+    for (series, labels, want) in expected {
+        let got = snapshot.counter(series, labels);
+        if got.unwrap_or(0) != *want as u64 {
+            ok = false;
             eprintln!(
-                "[{label}] METRICS GATE FAILED: dlm_requests_total{{verb=\"{verb}\"}} \
-                 = {got:?}, want {want}"
+                "[{label}] METRICS GATE FAILED ({tier}): {series}{labels:?} = {got:?}, want {want}"
             );
         }
     }
-    let transport = opts.transport.wire_name();
-    let wire_counted = snapshot.counter("dlm_wire_requests_total", &[("transport", transport)]);
-    if wire_counted != Some(wire_lines as u64) {
-        metrics_ok = false;
-        eprintln!(
-            "[{label}] METRICS GATE FAILED: dlm_wire_requests_total{{transport=\"{transport}\"}} \
-             = {wire_counted:?}, want {wire_lines}"
-        );
-    }
-    let service_times = service_times_json(&snapshot);
-
-    print_latencies(&ingest, &forecast);
-    eprintln!(
-        "[{label}] {requests} requests ({wire_lines} wire lines) over {clients} connections \
-         in {wall_secs:.2}s -> {throughput:.1} req/s"
-    );
-    server.shutdown();
-    RunResult {
-        label: label.to_owned(),
-        opts,
-        requests,
-        wire_lines,
-        wall_secs,
-        throughput,
-        ingest,
-        forecast,
-        cache: (cache.hits, cache.misses, cache.evictions),
-        service_times,
-        protocol_ok,
-        metrics_ok,
-        identical,
-    }
+    ok
 }
 
-fn write_serve_artifact(
-    runs: &[RunResult],
-    scenario: &Scenario,
-    clients: usize,
-    replayed: usize,
-    smoke: bool,
-) {
-    let entries: Vec<String> = runs.iter().map(RunResult::to_json).collect();
-    let json = format!(
-        "{{\n  \"schema\": \"{schema}\",\n  \"mode\": \"{mode}\",\n  \
-         \"hardware_threads\": {threads},\n  \"clients\": {clients},\n  \
-         \"hours_streamed\": {horizon},\n  \"votes_replayed_per_client\": {replayed},\n  \
-         \"runs\": [\n    {entries}\n  ]\n}}\n",
-        schema = artifact::SERVE_SCHEMA,
-        mode = if smoke { "smoke" } else { "full" },
-        threads = artifact::hardware_threads(),
-        horizon = scenario.horizon,
-        entries = entries.join(",\n    "),
-    );
-    let out = artifact::bench_out("BENCH_serve.json");
-    artifact::write(&out, &json).expect("valid serve artifact");
-    eprintln!("wrote {out}");
-}
-
-/// Single-server mode: one configuration, one `runs` entry.
-#[allow(clippy::too_many_arguments)]
-fn run_single_load(
-    world: &SyntheticWorld,
-    story: &dlm_data::Cascade,
-    scenario: &Scenario,
-    clients: usize,
-    replayed: usize,
-    smoke: bool,
-    opts: LoadOpts,
-) {
-    let run = run_one(world, story, scenario, clients, opts);
-    let ok = run.gates_pass();
-    write_serve_artifact(&[run], scenario, clients, replayed, smoke);
-    if !ok {
-        std::process::exit(1);
-    }
-}
-
-/// Router mode: the same replay through a `dlm-router` tier fronting
-/// two backends (three with `--kill-one`, which then drains one node,
-/// kills another, and re-probes every client), byte-compared against a
-/// direct single-server replay. Writes `BENCH_router.json`.
-#[allow(clippy::too_many_arguments)]
-fn run_router_load(
-    world: &SyntheticWorld,
-    scenario: &Scenario,
-    clients: usize,
-    replayed: usize,
-    smoke: bool,
-    kill_one: bool,
-    opts: LoadOpts,
-) {
-    // The elasticity drill needs a third node (one to drain, one to
-    // kill, one survivor) and a second copy of every cascade so the
-    // kill loses nothing.
-    let backend_count = if kill_one { 3 } else { ROUTER_BACKENDS };
-    let data_replicas = if kill_one { 2 } else { 1 };
-    let mut backends: Vec<DlmServer<ServerState>> = (0..backend_count)
-        .map(|_| {
-            let state =
-                ServerState::with_world(serve_config(), world.clone()).expect("backend state");
-            DlmServer::bind("127.0.0.1:0", state).expect("bind backend")
+/// Per-verb request counters, one [`Expected`] per `(verb, value)`,
+/// with `extra` labels appended.
+fn per_verb<'a>(
+    series: &'a str,
+    extra: &[(&'a str, &'a str)],
+    counts: [(&'a str, usize); 7],
+) -> Vec<Expected<'a>> {
+    counts
+        .into_iter()
+        .map(|(verb, want)| {
+            let mut labels = vec![("verb", verb)];
+            labels.extend_from_slice(extra);
+            (series, labels, want)
         })
-        .collect();
-    let backend_addrs: Vec<String> = backends
-        .iter()
-        .map(|b| b.local_addr().to_string())
-        .collect();
-    let router = RouterState::new(RouterConfig {
-        data_replicas,
-        // The router's backend pools speak the same framing the clients
-        // chose, so a binary run exercises the negotiated transport on
-        // both tiers.
-        backend_transport: opts.transport,
-        ..RouterConfig::new(backend_addrs.clone())
-    })
-    .expect("router state");
-    let shards: Vec<usize> = (0..clients)
-        .map(|id| router.shard_of(&format!("c{id}")))
-        .collect();
-    let front = DlmServer::bind("127.0.0.1:0", router).expect("bind router");
-    eprintln!(
-        "router on {} over {backend_count} backends (data replicas {data_replicas}, \
-         backend transport {transport}); client shards {shards:?}",
-        front.local_addr(),
-        transport = opts.transport.wire_name(),
-    );
-
-    let direct_state =
-        ServerState::with_world(serve_config(), world.clone()).expect("direct state");
-    let direct = DlmServer::bind("127.0.0.1:0", direct_state).expect("bind direct");
-
-    // The measured run goes through the router; the mirror run replays
-    // the identical request streams against one direct server.
-    let (routed_runs, wall_secs) = replay(front.local_addr(), clients, scenario, opts);
-    let (direct_runs, _) = replay(direct.local_addr(), clients, scenario, opts);
-
-    // Protocol gate (routed run).
-    let requests: usize = routed_runs.iter().map(|r| r.requests).sum();
-    let ok_responses: usize = routed_runs.iter().map(|r| r.ok_responses).sum();
-    let protocol_ok = requests == ok_responses;
-    if !protocol_ok {
-        eprintln!("PROTOCOL GATE FAILED: {ok_responses}/{requests} responses ok");
-    }
-
-    // Routing gate: every response byte a client saw through the router
-    // equals what the direct server answered to the same request.
-    let mut identical = true;
-    for (id, (routed, direct)) in routed_runs.iter().zip(&direct_runs).enumerate() {
-        if routed.responses != direct.responses {
-            identical = false;
-            let diverged = routed
-                .responses
-                .iter()
-                .zip(&direct.responses)
-                .position(|(a, b)| a != b);
-            eprintln!(
-                "ROUTING GATE FAILED: client {id} (shard {}) diverges from the direct server \
-                 at response {diverged:?}",
-                shards[id],
-            );
-        }
-    }
-    // And the cross-client gate still holds through the router.
-    let gates_match = routed_runs
-        .windows(2)
-        .all(|pair| pair[0].gate_models == pair[1].gate_models)
-        && !routed_runs[0].gate_models.is_empty();
-    if !gates_match {
-        identical = false;
-        eprintln!("ROUTING GATE FAILED: gate forecasts differ across routed clients");
-    }
-
-    // Aggregated stats: cache counters must equal the sum over shards.
-    let mut stats_client = Client::connect(front.local_addr());
-    let (stats_raw, _) = stats_client.round_trip(r#"{"type":"stats"}"#);
-    let stats = Json::parse(&stats_raw).expect("router stats parse");
-    let nested = |outer: &str, key: &str| -> u64 {
-        stats
-            .get("aggregate")
-            .and_then(|a| a.get(outer))
-            .and_then(|c| c.get(key))
-            .and_then(Json::as_u64)
-            .unwrap_or(0)
-    };
-    let shard_sum = |key: &str| -> u64 {
-        stats
-            .get("backends")
-            .and_then(Json::as_array)
-            .map(|entries| {
-                entries
-                    .iter()
-                    .filter_map(|e| {
-                        e.get("stats")
-                            .and_then(|s| s.get("cache"))
-                            .and_then(|c| c.get(key))
-                            .and_then(Json::as_u64)
-                    })
-                    .sum()
-            })
-            .unwrap_or(0)
-    };
-    for key in ["hits", "misses", "evictions"] {
-        if nested("cache", key) != shard_sum(key) {
-            identical = false;
-            eprintln!(
-                "STATS GATE FAILED: aggregate cache.{key} {} != shard sum {}",
-                nested("cache", key),
-                shard_sum(key)
-            );
-        }
-    }
-    let routed_counts: Vec<u64> = stats
-        .get("router")
-        .and_then(|r| r.get("routed"))
-        .and_then(Json::as_array)
-        .map(|arr| arr.iter().filter_map(Json::as_u64).collect())
-        .unwrap_or_default();
-
-    // Metrics gate (router tier): the router's per-verb counters must
-    // equal the client-side counts. The backend aggregate's merge math
-    // is pinned by the router's own tests; the bench checks the tier
-    // view — scraped before the elasticity drill mutates the cluster.
-    let (metrics_response, merged) = scrape_metrics(front.local_addr());
-    record_scrape("router", &metrics_response);
-    let horizon = scenario.votes_by_hour.len();
-    let batch_lines = if opts.batch > 1 {
-        clients * horizon.div_ceil(opts.batch)
-    } else {
-        0
-    };
-    let expected = [
-        ("open", clients),
-        ("ingest", clients * horizon),
-        ("forecast", clients * (horizon + 1)),
-        ("batch", batch_lines),
-        ("stats", 1), // the stats gate above sent exactly one line
-        ("metrics", 0),
-        ("invalid", 0),
-    ];
-    let mut metrics_ok = true;
-    for (verb, want) in expected {
-        let got = merged.counter(
-            "dlm_router_requests_total",
-            &[("verb", verb), ("tier", "router")],
-        );
-        if got != Some(want as u64) {
-            metrics_ok = false;
-            eprintln!(
-                "METRICS GATE FAILED: dlm_router_requests_total{{verb=\"{verb}\"}} \
-                 = {got:?}, want {want}"
-            );
-        }
-    }
-    if let Some(unreachable) = metrics_response
-        .get("backends_unreachable")
-        .and_then(Json::as_u64)
-    {
-        metrics_ok = false;
-        eprintln!("METRICS GATE FAILED: scrape reported {unreachable} unreachable backend(s)");
-    }
-
-    // The elasticity drill: drain one node (measured handoff), kill and
-    // `remove` another (measured remap), and after every transition
-    // re-probe each client's gate forecast. Replication must make the
-    // whole sequence lossless: zero lost responses, byte-identical
-    // answers throughout.
-    let mut lost_responses = 0usize;
-    let mut remap = 0.0f64;
-    let mut handoff_ms_json = "null".to_owned();
-    let mut rejoin_ms_json = "null".to_owned();
-    let mut repair_count = 0u64;
-    if kill_one {
-        let gate_list: Vec<String> = scenario
-            .gate_hours
-            .iter()
-            .map(ToString::to_string)
-            .collect();
-        let gate_line = |id: usize| {
-            format!(
-                r#"{{"type":"forecast","cascade":"c{id}","hours":[{}],"through":{}}}"#,
-                gate_list.join(","),
-                scenario.observe_through,
-            )
-        };
-        let probe_all = |label: &str, lost: &mut usize| {
-            for (id, run) in routed_runs.iter().enumerate() {
-                let expected = run.responses.last().expect("gate response recorded");
-                let answered = LineClient::connect(front.local_addr())
-                    .and_then(|mut c| c.send_raw(&gate_line(id)))
-                    .ok();
-                if answered.as_ref() != Some(expected) {
-                    *lost += 1;
-                    eprintln!(
-                        "ELASTICITY GATE FAILED ({label}): client {id} got {answered:?}, \
-                         expected the pre-transition bytes"
-                    );
-                }
-            }
-        };
-        let mut admin = Client::connect(front.local_addr());
-
-        // 1. Drain the third backend: its cascades hand off while it is
-        //    still alive. `handoff_ms` is the routing pause the swap cost.
-        let (drain_raw, _) = admin.round_trip(&format!(
-            r#"{{"type":"drain","backend":"{}"}}"#,
-            backend_addrs[2]
-        ));
-        let drain = Json::parse(&drain_raw).expect("drain response parse");
-        if drain.get("ok").and_then(Json::as_bool) != Some(true) {
-            eprintln!("ELASTICITY GATE FAILED: drain rejected: {drain_raw}");
-            lost_responses += clients;
-        }
-        if let Some(ms) = drain.get("handoff_ms").and_then(Json::as_f64) {
-            handoff_ms_json = format!("{ms:.3}");
-        }
-        eprintln!(
-            "drained {}: migrated {} evicted {} in {} ms",
-            backend_addrs[2],
-            drain.get("migrated").and_then(Json::as_u64).unwrap_or(0),
-            drain.get("evicted").and_then(Json::as_u64).unwrap_or(0),
-            handoff_ms_json,
-        );
-        probe_all("post-drain", &mut lost_responses);
-
-        // 2. Kill the second backend outright — no goodbye, mid-service.
-        //    Reads must fail over to the surviving replica instantly.
-        backends[1].shutdown();
-        probe_all("post-kill", &mut lost_responses);
-
-        // 3. Fail-stop `remove`: survivors re-replicate, the ring shrinks.
-        //    `remap_fraction` is the keyspace share the dead node owned,
-        //    computed from the same ring the router routes with.
-        let survivors: Vec<String> = vec![backend_addrs[0].clone()];
-        let both: Vec<String> = vec![backend_addrs[0].clone(), backend_addrs[1].clone()];
-        remap = remap_fraction(
-            &HashRing::new(&both, HashRing::DEFAULT_REPLICAS).expect("ring"),
-            &both,
-            &HashRing::new(&survivors, HashRing::DEFAULT_REPLICAS).expect("ring"),
-            &survivors,
-        );
-        let (remove_raw, _) = admin.round_trip(&format!(
-            r#"{{"type":"remove","backend":"{}"}}"#,
-            backend_addrs[1]
-        ));
-        let removal = Json::parse(&remove_raw).expect("remove response parse");
-        if removal.get("ok").and_then(Json::as_bool) != Some(true) {
-            eprintln!("ELASTICITY GATE FAILED: remove rejected: {remove_raw}");
-            lost_responses += clients;
-        }
-        probe_all("post-remove", &mut lost_responses);
-        eprintln!(
-            "removed {}: remap fraction {remap:.4}, ring version {}",
-            backend_addrs[1],
-            removal
-                .get("ring_version")
-                .and_then(Json::as_u64)
-                .unwrap_or(0),
-        );
-
-        // 4. Auto-rejoin: the killed node restarts on its old address
-        //    and announces itself with the `rejoin` verb — the same
-        //    line a `--announce` backend sends on boot — instead of an
-        //    operator `join`. Re-admission replicates its share back
-        //    under a bumped ring, and every *unaffected* shard must
-        //    keep answering the exact pre-rejoin bytes: probe_all
-        //    compares against the recorded responses, so any remap of
-        //    a surviving shard shows up as a lost response.
-        let restarted_state =
-            ServerState::with_world(serve_config(), world.clone()).expect("restarted state");
-        let restarted =
-            DlmServer::bind(&backend_addrs[1], restarted_state).expect("rebind killed backend");
-        let (rejoin_raw, _) = admin.round_trip(&format!(
-            r#"{{"type":"rejoin","backend":"{}"}}"#,
-            backend_addrs[1]
-        ));
-        let rejoin = Json::parse(&rejoin_raw).expect("rejoin response parse");
-        if rejoin.get("ok").and_then(Json::as_bool) != Some(true) {
-            eprintln!("ELASTICITY GATE FAILED: rejoin rejected: {rejoin_raw}");
-            lost_responses += clients;
-        }
-        if let Some(ms) = rejoin.get("rejoin_ms").and_then(Json::as_f64) {
-            rejoin_ms_json = format!("{ms:.3}");
-        }
-        repair_count = rejoin.get("repaired").and_then(Json::as_u64).unwrap_or(0);
-        eprintln!(
-            "rejoined {}: repaired {repair_count} in {rejoin_ms_json} ms, ring version {}",
-            backend_addrs[1],
-            rejoin
-                .get("ring_version")
-                .and_then(Json::as_u64)
-                .unwrap_or(0),
-        );
-        probe_all("post-rejoin", &mut lost_responses);
-        drop(restarted);
-
-        if lost_responses > 0 {
-            identical = false;
-            eprintln!("ELASTICITY GATE FAILED: {lost_responses} lost responses (must be 0)");
-        }
-    }
-
-    let ingest: Vec<f64> = routed_runs
-        .iter()
-        .flat_map(|r| r.ingest_latencies.clone())
-        .collect();
-    let forecast: Vec<f64> = routed_runs
-        .iter()
-        .flat_map(|r| r.forecast_latencies.clone())
-        .collect();
-    let throughput = requests as f64 / wall_secs.max(1e-9);
-    let json = format!(
-        "{{\n  \"schema\": \"{schema}\",\n  \"mode\": \"{mode}\",\n  \
-         \"backends\": {backend_count},\n  \"clients\": {clients},\n  \
-         \"data_replicas\": {data_replicas},\n  \
-         \"hardware_threads\": {threads},\n  \"transport\": \"{transport}\",\n  \
-         \"hours_streamed\": {horizon},\n  \"votes_replayed_per_client\": {replayed},\n  \
-         \"requests\": {requests},\n  \"wall_seconds\": {wall_secs:.3},\n  \
-         \"throughput_rps\": {throughput:.2},\n  \"ingest_latency\": {ingest},\n  \
-         \"forecast_latency\": {forecast},\n  \"routed_per_backend\": {routed_counts:?},\n  \
-         \"aggregate_cache\": {{\"hits\": {hits}, \"misses\": {misses}, \"evictions\": {evictions}}},\n  \
-         \"remap_fraction\": {remap:.6},\n  \"handoff_ms\": {handoff_ms_json},\n  \
-         \"rejoin_ms\": {rejoin_ms_json},\n  \"repair_count\": {repair_count},\n  \
-         \"lost_responses\": {lost_responses},\n  \
-         \"protocol_ok\": {protocol_ok},\n  \"routed_identical\": {identical}\n}}\n",
-        schema = artifact::ROUTER_SCHEMA,
-        mode = if smoke { "smoke" } else { "full" },
-        threads = artifact::hardware_threads(),
-        transport = opts.transport.wire_name(),
-        horizon = scenario.horizon,
-        ingest = stats_json(&ingest),
-        forecast = stats_json(&forecast),
-        hits = nested("cache", "hits"),
-        misses = nested("cache", "misses"),
-        evictions = nested("cache", "evictions"),
-    );
-    let out = artifact::bench_out("BENCH_router.json");
-    artifact::write(&out, &json).expect("valid router artifact");
-
-    print_latencies(&ingest, &forecast);
-    eprintln!(
-        "{requests} routed requests over {clients} connections in {wall_secs:.2}s -> \
-         {throughput:.1} req/s (routed per backend: {routed_counts:?}) -> {out}"
-    );
-    drop(front);
-    drop(backends);
-    if !(protocol_ok && metrics_ok && identical) {
-        std::process::exit(1);
-    }
+        .collect()
 }
 
-// ---------------------------------------------------------------------------
-// Scenario-factory soak: `--scenario <regime>` / `--digg-dir <dir>`
-// ---------------------------------------------------------------------------
-
-/// Seed of every `--scenario` stream. Recorded in the artifact so a
-/// failing cascade is nameable as `(regime, SCENARIO_SEED, index)` and
-/// re-derivable anywhere — see `docs/SCENARIOS.md`.
-const SCENARIO_SEED: u64 = 42;
-
-/// Observed hours the soak's gate forecast (and its offline mirror)
-/// fits on; gate hours are everything after, up to the horizon.
-const SOAK_OBSERVE_THROUGH: u32 = 2;
-
-/// Hours each digg story is replayed and forecast over.
-const DIGG_HORIZON: u32 = 8;
-
-/// Per-regime Eq.-8 accuracy floor for the paper's fixed-parameter DL
-/// model on the held-out hours. The factory regimes are intentionally
-/// adversarial — broadcast and storm shapes are exactly what the DL
-/// PDE does *not* model — so the floors encode "never regress below
-/// today's behavior", not the paper's 92–99%. `None` = track only.
-/// (Measured at seed 42: broadcast ≈ 0.25, viral ≈ 0.22,
-/// bridged ≈ 0.34, erdos-viral ≈ 0.17, surge ≈ 0.10, storm ≈ 0.16,
-/// digg fixture ≈ 0.23 — the floors sit at roughly half of those.)
-fn accuracy_floor(regime: &str) -> Option<f64> {
-    match regime {
-        "broadcast" => Some(0.12),
-        "viral" => Some(0.10),
-        "bridged" => Some(0.15),
-        "erdos-viral" => Some(0.08),
-        "surge" => Some(0.04),
-        "storm" => Some(0.07),
-        "digg" => Some(0.10),
-        _ => None,
-    }
+/// The elasticity drill's record.
+struct Drill {
+    remap_fraction: f64,
+    handoff_ms: Option<f64>,
+    rejoin_ms: Option<f64>,
+    repair_count: u64,
+    lost_responses: usize,
 }
 
-/// One replayable cascade in wire form — a factory
-/// [`dlm_scenarios::ScenarioCascade`] or one story of a Digg dataset.
-struct SoakCascade {
-    wire_name: String,
-    regime_label: &'static str,
-    initiator: usize,
-    submit: u64,
-    horizon: u32,
-    deliveries: Vec<Delivery>,
-}
-
-impl SoakCascade {
-    /// The votes a correct server ends up counting, as batch-side
-    /// [`Vote`]s — the offline half of the identity gate.
-    fn accepted_votes(&self, story: u32) -> Vec<Vote> {
-        self.deliveries
-            .iter()
-            .filter(|d| !d.late)
-            .flat_map(|d| {
-                d.votes.iter().map(move |&(timestamp, voter)| Vote {
-                    timestamp,
-                    voter,
-                    story,
-                })
-            })
-            .collect()
-    }
-
-    fn clean_deliveries(&self) -> usize {
-        self.deliveries.iter().filter(|d| !d.late).count()
-    }
-}
-
-/// What one soak client observed.
-struct SoakRun {
-    /// Every raw response line in request order (the routed tier is
-    /// byte-compared against the direct tier through this).
-    responses: Vec<String>,
-    requests: usize,
-    /// Responses whose ok-ness contradicted the delivery schedule:
-    /// late deliveries must fail, everything else must succeed.
-    mismatches: usize,
-    late_rejections: usize,
-    ingest_latencies: Vec<f64>,
-    forecast_latencies: Vec<f64>,
-    gate_models: String,
-}
-
-fn drive_soak_client(
-    addr: SocketAddr,
-    cascade: &SoakCascade,
-    gate_hours: &[u32],
-    transport: Transport,
-) -> SoakRun {
-    let mut client = Client::connect_with(addr, transport);
-    let mut run = SoakRun {
-        responses: Vec::new(),
-        requests: 0,
-        mismatches: 0,
-        late_rejections: 0,
-        ingest_latencies: Vec::new(),
-        forecast_latencies: Vec::new(),
-        gate_models: String::new(),
-    };
-    let name = &cascade.wire_name;
-    let expect = |run: &mut SoakRun, raw: String, want_ok: bool| {
-        run.requests += 1;
-        let ok = Json::parse(&raw)
-            .ok()
-            .and_then(|v| v.get("ok").and_then(Json::as_bool))
-            == Some(true);
-        if ok != want_ok {
-            run.mismatches += 1;
-            eprintln!("[{name}] expected ok={want_ok}, got: {raw}");
-        } else if !want_ok {
-            run.late_rejections += 1;
-        }
-        run.responses.push(raw);
-    };
-
-    let (raw, _) = client.round_trip(&format!(
-        r#"{{"type":"open","cascade":"{name}","initiator":{initiator},"max_hops":{MAX_HOPS},"horizon":{horizon},"submit_time":{submit},"regime":"{regime}"}}"#,
-        initiator = cascade.initiator,
-        horizon = cascade.horizon,
-        submit = cascade.submit,
-        regime = cascade.regime_label,
-    ));
-    expect(&mut run, raw, true);
-
-    let mut closed = 0u32;
-    for delivery in &cascade.deliveries {
-        let body: Vec<String> = delivery
-            .votes
-            .iter()
-            .map(|&(ts, voter)| format!("[{ts},{voter}]"))
-            .collect();
-        let (raw, secs) = client.round_trip(&format!(
-            r#"{{"type":"ingest","cascade":"{name}","votes":[{}],"now":{}}}"#,
-            body.join(","),
-            delivery.now,
-        ));
-        run.ingest_latencies.push(secs);
-        expect(&mut run, raw, !delivery.late);
-        if delivery.late {
-            continue;
-        }
-        // Forecast the next hour from everything observed so far — the
-        // same online pattern the single-server replay drives.
-        closed += 1;
-        let (raw, secs) = client.round_trip(&format!(
-            r#"{{"type":"forecast","cascade":"{name}","hours":[{}]}}"#,
-            closed + 1
-        ));
-        run.forecast_latencies.push(secs);
-        expect(&mut run, raw, true);
-    }
-
-    // The gate forecast: held-out hours from a fixed observation
-    // window, compared bit-for-bit against the offline mirror.
-    let gate_list: Vec<String> = gate_hours.iter().map(ToString::to_string).collect();
-    let (raw, secs) = client.round_trip(&format!(
-        r#"{{"type":"forecast","cascade":"{name}","hours":[{}],"through":{SOAK_OBSERVE_THROUGH}}}"#,
-        gate_list.join(","),
-    ));
-    run.forecast_latencies.push(secs);
-    run.gate_models = Json::parse(&raw)
-        .ok()
-        .and_then(|v| v.get("models").map(|m| m.to_string()))
-        .unwrap_or_default();
-    expect(&mut run, raw, true);
-    run
-}
-
-/// Replays every cascade from its own concurrent connection.
-fn replay_soak(
-    addr: SocketAddr,
-    cascades: &[SoakCascade],
-    gate_hours: &[u32],
-    transport: Transport,
-) -> (Vec<SoakRun>, f64) {
-    let wall = Instant::now();
-    let runs: Vec<SoakRun> = std::thread::scope(|scope| {
-        let handles: Vec<_> = cascades
-            .iter()
-            .map(|c| scope.spawn(move || drive_soak_client(addr, c, gate_hours, transport)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("soak client"))
-            .collect()
-    });
-    (runs, wall.elapsed().as_secs_f64())
-}
-
-/// One workload's measured outcome and gates — an entry of the
-/// scenarios artifact's `regimes` array (or its `digg` object).
-struct RegimeReport {
-    regime: String,
+/// One run's outcome and gates — an entry of the artifact's `runs`.
+struct Report {
+    run: Run,
     cascades: usize,
     deliveries: usize,
     votes_accepted: usize,
     late_rejections: usize,
     requests: usize,
-    wall_secs: f64,
-    throughput: f64,
+    wire_lines: usize,
     eq8_mean: Option<f64>,
     floor: Option<f64>,
     accuracy_ok: bool,
@@ -1379,36 +697,54 @@ struct RegimeReport {
     metrics_ok: bool,
     identical: bool,
     routed_identical: bool,
-    slice_identical: bool,
+    slice_identical: Option<bool>,
+    drill: Option<Drill>,
 }
 
-impl RegimeReport {
+fn opt_json<T: std::fmt::Display>(v: Option<T>) -> String {
+    v.map_or("null".to_owned(), |x| x.to_string())
+}
+
+impl Report {
     fn to_json(&self) -> String {
-        let opt = |v: Option<f64>| v.map_or("null".to_owned(), |x| format!("{x:.6}"));
+        let drill = self.drill.as_ref().map(|d| {
+            format!(
+                "{{\"remap_fraction\": {:.6}, \"handoff_ms\": {}, \"rejoin_ms\": {}, \
+                 \"repair_count\": {}, \"lost_responses\": {}}}",
+                d.remap_fraction,
+                opt_json(d.handoff_ms.map(|ms| format!("{ms:.3}"))),
+                opt_json(d.rejoin_ms.map(|ms| format!("{ms:.3}"))),
+                d.repair_count,
+                d.lost_responses,
+            )
+        });
         format!(
-            "{{\"regime\": \"{regime}\", \"cascades\": {cascades}, \"deliveries\": {deliveries}, \
+            "{{\"name\": \"{name}\", \"workload\": \"{workload}\", \"transport\": \"{transport}\", \
+             \"batch\": {batch}, \"cascades\": {cascades}, \"deliveries\": {deliveries}, \
              \"votes_accepted\": {votes}, \"late_rejections\": {late}, \"requests\": {requests}, \
-             \"wall_seconds\": {wall:.3}, \"throughput_rps\": {rps:.2}, \
-             \"eq8_mean_accuracy\": {eq8}, \"accuracy_floor\": {floor}, \
+             \"wire_lines\": {wire}, \"eq8_mean_accuracy\": {eq8}, \"accuracy_floor\": {floor}, \
              \"accuracy_ok\": {accuracy_ok}, \"protocol_ok\": {protocol_ok}, \
              \"metrics_ok\": {metrics_ok}, \"outputs_identical\": {identical}, \
-             \"routed_identical\": {routed}, \"slice_identical\": {slice}}}",
-            regime = self.regime,
+             \"routed_identical\": {routed}, \"slice_identical\": {slice}, \"drill\": {drill}}}",
+            name = self.run.name,
+            workload = self.run.workload.label(),
+            transport = self.run.transport.wire_name(),
+            batch = self.run.batch,
             cascades = self.cascades,
             deliveries = self.deliveries,
             votes = self.votes_accepted,
             late = self.late_rejections,
             requests = self.requests,
-            wall = self.wall_secs,
-            rps = self.throughput,
-            eq8 = opt(self.eq8_mean),
-            floor = opt(self.floor),
+            wire = self.wire_lines,
+            eq8 = opt_json(self.eq8_mean.map(|m| format!("{m:.6}"))),
+            floor = opt_json(self.floor.map(|f| format!("{f:.6}"))),
             accuracy_ok = self.accuracy_ok,
             protocol_ok = self.protocol_ok,
             metrics_ok = self.metrics_ok,
             identical = self.identical,
             routed = self.routed_identical,
-            slice = self.slice_identical,
+            slice = opt_json(self.slice_identical),
+            drill = opt_json(drill),
         )
     }
 
@@ -1418,109 +754,98 @@ impl RegimeReport {
             && self.metrics_ok
             && self.identical
             && self.routed_identical
-            && self.slice_identical
+            && self.slice_identical != Some(false)
+            && self.drill.as_ref().is_none_or(|d| d.lost_responses == 0)
     }
 }
 
-/// One metrics-gate counter check; `None` reads as 0 (a counter that
-/// never incremented has no series).
-fn check_counter(
-    label: &str,
-    tier: &str,
-    series: &str,
-    got: Option<u64>,
-    want: usize,
-    ok: &mut bool,
-) {
-    if got.unwrap_or(0) != want as u64 {
-        *ok = false;
-        eprintln!("[{label}] METRICS GATE FAILED ({tier}): {series} = {got:?}, want {want}");
-    }
+fn bind_backend(graph: &Arc<DiGraph>, addr: &str) -> DlmServer<ServerState> {
+    let state = ServerState::with_graph(serve_config(), graph.clone()).expect("server state");
+    DlmServer::bind(addr, state).expect("bind server")
 }
 
-/// Replays one workload through a graph-only direct server *and* a
-/// routed two-backend tier, then runs every per-workload gate. The
-/// slice re-derivation gate is mode-specific — the caller sets it.
-fn soak_workload(
-    label: &'static str,
-    graph: &Arc<DiGraph>,
-    cascades: &[SoakCascade],
-    transport: Transport,
-) -> RegimeReport {
+/// Replays one run's workload through a graph-only direct server *and*
+/// a routed tier, then runs every gate.
+fn soak_workload(run: &Run, built: &Built) -> Report {
+    let label = run.name;
+    let regime = run.workload.label();
+    let cascades = &built.cascades;
+    let graph = &built.graph;
     assert!(!cascades.is_empty(), "a soak workload needs cascades");
     let horizon = cascades[0].horizon;
-    let gate_hours: Vec<u32> = (SOAK_OBSERVE_THROUGH + 1..=horizon).collect();
+    let gate_hours: Vec<u32> = (OBSERVE_THROUGH + 1..=horizon).collect();
+    let names: Vec<&str> = cascades.iter().map(|c| c.wire_name.as_str()).collect();
+    let scripts: Vec<Vec<Vec<Step>>> = cascades
+        .iter()
+        .map(|c| c.script(regime, &gate_hours))
+        .collect();
     let n = cascades.len();
-    let clean: usize = cascades.iter().map(SoakCascade::clean_deliveries).sum();
     let deliveries: usize = cascades.iter().map(|c| c.deliveries.len()).sum();
-    let late = deliveries - clean;
+    let late = cascades
+        .iter()
+        .flat_map(|c| &c.deliveries)
+        .filter(|d| d.late)
+        .count();
+    let clean = deliveries - late;
     let votes_accepted: usize = cascades
         .iter()
-        .flat_map(|c| c.deliveries.iter())
+        .flat_map(|c| &c.deliveries)
         .filter(|d| !d.late)
         .map(|d| d.votes.len())
         .sum();
+    let requests: usize = scripts.iter().flatten().map(Vec::len).sum();
 
     // Direct tier.
-    let state = ServerState::with_graph(serve_config(), graph.clone()).expect("soak server");
-    let mut server = DlmServer::bind("127.0.0.1:0", state).expect("bind soak server");
+    let mut server = bind_backend(graph, "127.0.0.1:0");
     eprintln!(
-        "[{label}] direct tier on {} ({n} cascades, {deliveries} deliveries, horizon {horizon})",
+        "[{label}] direct tier on {} ({n} cascades, {deliveries} deliveries, horizon {horizon}, \
+         {} transport, batch {})",
         server.local_addr(),
+        run.transport.wire_name(),
+        run.batch,
     );
-    let (direct_runs, wall_secs) =
-        replay_soak(server.local_addr(), cascades, &gate_hours, transport);
-    let requests: usize = direct_runs.iter().map(|r| r.requests).sum();
-    let late_rejections: usize = direct_runs.iter().map(|r| r.late_rejections).sum();
-    let mut protocol_ok = direct_runs.iter().all(|r| r.mismatches == 0);
+    let direct = replay_all(server.local_addr(), &names, &scripts, run);
+    let wire_lines: usize = direct.iter().map(|r| r.responses.len()).sum();
+    let batch_lines: usize = direct.iter().map(|r| r.batch_lines).sum();
+    let late_rejections: usize = direct.iter().map(|r| r.late_rejections).sum();
+    let mut protocol_ok = direct.iter().all(|r| r.mismatches == 0);
     if late_rejections != late {
         protocol_ok = false;
         eprintln!("[{label}] PROTOCOL GATE FAILED: {late_rejections} late rejections, want {late}");
     }
 
-    // Metrics gate, direct tier: per-verb counts, the late-vote error
-    // count, and the per-regime open counter must match the schedule.
+    // Metrics gate, direct tier: per-verb, wire-line, late-vote error
+    // and per-regime open counts must match the schedule (a `metrics`
+    // request books its own counters only after its snapshot is taken,
+    // so the scrape never counts itself).
     let (metrics_response, snapshot) = scrape_metrics(server.local_addr());
     record_scrape(label, &metrics_response);
-    let mut metrics_ok = true;
-    for (verb, want) in [
-        ("open", n),
-        ("ingest", deliveries),
-        ("forecast", clean + n),
-        ("batch", 0),
-        ("stats", 0),
-        ("metrics", 0),
-        ("invalid", 0),
-    ] {
-        check_counter(
-            label,
-            "direct",
-            &format!("dlm_requests_total{{verb=\"{verb}\"}}"),
-            snapshot.counter("dlm_requests_total", &[("verb", verb)]),
-            want,
-            &mut metrics_ok,
-        );
-    }
-    check_counter(
-        label,
-        "direct",
-        "dlm_request_errors_total{verb=\"ingest\"}",
-        snapshot.counter("dlm_request_errors_total", &[("verb", "ingest")]),
-        late,
-        &mut metrics_ok,
-    );
-    check_counter(
-        label,
-        "direct",
-        &format!("dlm_cascades_opened_total{{regime=\"{label}\"}}"),
-        snapshot.counter("dlm_cascades_opened_total", &[("regime", label)]),
-        n,
-        &mut metrics_ok,
-    );
+    let verb_counts = |stats| {
+        [
+            ("open", n),
+            ("ingest", deliveries),
+            ("forecast", clean + n),
+            ("batch", batch_lines),
+            ("stats", stats),
+            ("metrics", 0),
+            ("invalid", 0),
+        ]
+    };
+    let mut expected = per_verb("dlm_requests_total", &[], verb_counts(0));
+    expected.extend([
+        (
+            "dlm_wire_requests_total",
+            vec![("transport", run.transport.wire_name())],
+            wire_lines,
+        ),
+        ("dlm_request_errors_total", vec![("verb", "ingest")], late),
+        ("dlm_cascades_opened_total", vec![("regime", regime)], n),
+    ]);
+    let mut metrics_ok = counters_match(label, "direct", &snapshot, &expected);
 
     // Served-vs-offline bit identity + Eq.-8 accuracy, per cascade.
     let registry = ModelRegistry::with_builtins();
-    let observed_hours: Vec<u32> = (1..=SOAK_OBSERVE_THROUGH).collect();
+    let observed_hours: Vec<u32> = (1..=OBSERVE_THROUGH).collect();
     let mut identical = true;
     let mut accuracies: Vec<f64> = Vec::new();
     for (ci, cascade) in cascades.iter().enumerate() {
@@ -1536,8 +861,9 @@ fn soak_workload(
         let distances: Vec<u32> = (1..=matrix.max_distance()).collect();
         let request =
             PredictionRequest::new(distances.clone(), gate_hours.clone()).expect("request");
-        let parsed = Json::parse(&direct_runs[ci].gate_models).unwrap_or(Json::Null);
-        let served_models = parsed.as_array().unwrap_or(&[]);
+        let gate_response = direct[ci].responses.last().map_or("", String::as_str);
+        let parsed = Json::parse(gate_response).unwrap_or(Json::Null);
+        let served_models = parsed.get("models").and_then(Json::as_array).unwrap_or(&[]);
         for (mi, spec) in lineup().iter().enumerate() {
             let fitted = registry
                 .build(spec)
@@ -1581,65 +907,109 @@ fn soak_workload(
     }
     server.shutdown();
 
-    // Routed tier: the same replay through a router over two graph-only
-    // backends must produce byte-identical response streams.
-    let backends: Vec<DlmServer<ServerState>> = (0..ROUTER_BACKENDS)
-        .map(|_| {
-            let state =
-                ServerState::with_graph(serve_config(), graph.clone()).expect("backend state");
-            DlmServer::bind("127.0.0.1:0", state).expect("bind backend")
-        })
+    // Routed tier: the same replay through a router over graph-only
+    // backends must produce byte-identical response streams. The drill
+    // needs a third node (one to drain, one to kill, one survivor) and
+    // a second copy of every cascade so the kill loses nothing.
+    let (backend_count, data_replicas) = if run.drill {
+        (3, 2)
+    } else {
+        (ROUTER_BACKENDS, 1)
+    };
+    let mut backends: Vec<DlmServer<ServerState>> = (0..backend_count)
+        .map(|_| bind_backend(graph, "127.0.0.1:0"))
         .collect();
     let backend_addrs: Vec<String> = backends
         .iter()
         .map(|b| b.local_addr().to_string())
         .collect();
     let router = RouterState::new(RouterConfig {
-        backend_transport: transport,
-        ..RouterConfig::new(backend_addrs)
+        data_replicas,
+        // The router's backend pools speak the clients' framing, so a
+        // binary run exercises the negotiated transport on both tiers.
+        backend_transport: run.transport,
+        ..RouterConfig::new(backend_addrs.clone())
     })
     .expect("router state");
     let front = DlmServer::bind("127.0.0.1:0", router).expect("bind router");
-    eprintln!("[{label}] routed tier on {}", front.local_addr());
-    let (routed_runs, _) = replay_soak(front.local_addr(), cascades, &gate_hours, transport);
-    let mut routed_identical = routed_runs.iter().all(|r| r.mismatches == 0);
-    for (ci, (routed, direct)) in routed_runs.iter().zip(&direct_runs).enumerate() {
+    eprintln!(
+        "[{label}] routed tier on {} over {backend_count} backends (data replicas {data_replicas})",
+        front.local_addr()
+    );
+    let routed = replay_all(front.local_addr(), &names, &scripts, run);
+    let mut routed_identical = routed.iter().all(|r| r.mismatches == 0);
+    for (ci, (routed, direct)) in routed.iter().zip(&direct).enumerate() {
         if routed.responses != direct.responses {
             routed_identical = false;
             eprintln!("[{label}] ROUTING GATE FAILED: cascade {ci} diverges from the direct tier");
         }
     }
 
-    // Metrics gate, routed tier: the merged scrape's backend aggregate
-    // must add up to the same totals across the shards.
+    // Aggregated stats: cache counters must equal the sum over backends.
+    let stats = request(front.local_addr(), r#"{"type":"stats"}"#);
+    for key in ["hits", "misses", "evictions"] {
+        let aggregate = stats
+            .get("aggregate")
+            .and_then(|a| a.get("cache"))
+            .and_then(|c| c.get(key))
+            .and_then(Json::as_u64);
+        let shard_sum: u64 = stats
+            .get("backends")
+            .and_then(Json::as_array)
+            .unwrap_or(&[])
+            .iter()
+            .filter_map(|e| {
+                e.get("stats")
+                    .and_then(|s| s.get("cache"))
+                    .and_then(|c| c.get(key))
+                    .and_then(Json::as_u64)
+            })
+            .sum();
+        if aggregate != Some(shard_sum) {
+            routed_identical = false;
+            eprintln!(
+                "[{label}] STATS GATE FAILED: aggregate cache.{key} {aggregate:?} != shard sum {shard_sum}"
+            );
+        }
+    }
+
+    // Metrics gate, routed tier: the router's own per-verb counters
+    // must equal the client-side counts, and the merged backend
+    // aggregate must add up to the same totals across the shards (every
+    // write lands on each of its `data_replicas` owners, a read on one).
+    // Scraped before the drill mutates the cluster.
     let (router_metrics, merged) = scrape_metrics(front.local_addr());
     record_scrape(&format!("{label}-router"), &router_metrics);
-    for (verb, want) in [("open", n), ("ingest", deliveries), ("forecast", clean + n)] {
-        check_counter(
-            label,
-            "router",
-            &format!("dlm_requests_total{{verb=\"{verb}\"}}"),
-            merged.counter("dlm_requests_total", &[("verb", verb)]),
-            want,
-            &mut metrics_ok,
-        );
-    }
-    check_counter(
-        label,
-        "router",
-        "dlm_request_errors_total{verb=\"ingest\"}",
-        merged.counter("dlm_request_errors_total", &[("verb", "ingest")]),
-        late,
-        &mut metrics_ok,
+    // The `stats` gate above sent exactly one line.
+    let mut expected = per_verb(
+        "dlm_router_requests_total",
+        &[("tier", "router")],
+        verb_counts(1),
     );
-    check_counter(
-        label,
-        "router",
-        &format!("dlm_cascades_opened_total{{regime=\"{label}\"}}"),
-        merged.counter("dlm_cascades_opened_total", &[("regime", label)]),
-        n,
-        &mut metrics_ok,
-    );
+    expected.extend([
+        (
+            "dlm_requests_total",
+            vec![("verb", "open")],
+            n * data_replicas,
+        ),
+        (
+            "dlm_requests_total",
+            vec![("verb", "ingest")],
+            deliveries * data_replicas,
+        ),
+        ("dlm_requests_total", vec![("verb", "forecast")], clean + n),
+        (
+            "dlm_request_errors_total",
+            vec![("verb", "ingest")],
+            late * data_replicas,
+        ),
+        (
+            "dlm_cascades_opened_total",
+            vec![("regime", regime)],
+            n * data_replicas,
+        ),
+    ]);
+    metrics_ok &= counters_match(label, "routed", &merged, &expected);
     if let Some(unreachable) = router_metrics
         .get("backends_unreachable")
         .and_then(Json::as_u64)
@@ -1647,6 +1017,19 @@ fn soak_workload(
         metrics_ok = false;
         eprintln!("[{label}] METRICS GATE FAILED: {unreachable} unreachable backend(s)");
     }
+
+    let drill = run.drill.then(|| {
+        let probes: Vec<(&str, &str)> = scripts
+            .iter()
+            .zip(&routed)
+            .map(|(script, replay)| {
+                let gate = script.last().expect("gate group")[0].0.as_str();
+                let expected = replay.responses.last().expect("gate response recorded");
+                (gate, expected.as_str())
+            })
+            .collect();
+        elasticity_drill(label, front.local_addr(), graph, &mut backends, &probes)
+    });
     drop(front);
     drop(backends);
 
@@ -1655,7 +1038,7 @@ fn soak_workload(
     } else {
         Some(accuracies.iter().sum::<f64>() / accuracies.len() as f64)
     };
-    let floor = accuracy_floor(label);
+    let floor = accuracy_floor(regime);
     let accuracy_ok = match (floor, eq8_mean) {
         (None, _) => true,
         (Some(f), Some(m)) => m >= f,
@@ -1666,33 +1049,20 @@ fn soak_workload(
             "[{label}] ACCURACY GATE FAILED: mean Eq.-8 accuracy {eq8_mean:?} under floor {floor:?}"
         );
     }
-
-    let ingest: Vec<f64> = direct_runs
-        .iter()
-        .flat_map(|r| r.ingest_latencies.clone())
-        .collect();
-    let forecast: Vec<f64> = direct_runs
-        .iter()
-        .flat_map(|r| r.forecast_latencies.clone())
-        .collect();
-    print_latencies(&ingest, &forecast);
-    let throughput = requests as f64 / wall_secs.max(1e-9);
     eprintln!(
-        "[{label}] {requests} requests over {n} cascades in {wall_secs:.2}s -> \
-         {throughput:.1} req/s; {late_rejections} late deliveries rejected; \
-         mean Eq.-8 accuracy {}",
+        "[{label}] {requests} requests ({wire_lines} wire lines) over {n} cascades; \
+         {late_rejections} late deliveries rejected; mean Eq.-8 accuracy {}",
         eq8_mean.map_or("undefined".to_owned(), |m| format!("{:.1}%", m * 100.0)),
     );
 
-    RegimeReport {
-        regime: label.to_owned(),
+    Report {
+        run: *run,
         cascades: n,
         deliveries,
         votes_accepted,
         late_rejections,
         requests,
-        wall_secs,
-        throughput,
+        wire_lines,
         eq8_mean,
         floor,
         accuracy_ok,
@@ -1700,172 +1070,203 @@ fn soak_workload(
         metrics_ok,
         identical,
         routed_identical,
-        slice_identical: false,
+        slice_identical: built.slice_identical,
+        drill,
     }
 }
 
-/// The `--digg-dir` end-to-end replay: Digg-2009-format CSVs (the
-/// synthetic fixture is generated in place when the directory has
-/// none) → loader → follower graph → the same two-tier soak as the
-/// factory regimes, one cascade per top story.
-fn run_digg_soak(dir: &str, smoke: bool, transport: Transport) -> RegimeReport {
-    let votes_path = std::path::Path::new(dir).join("digg_votes.csv");
-    let friends_path = std::path::Path::new(dir).join("digg_friends.csv");
-    if !votes_path.exists() || !friends_path.exists() {
-        std::fs::create_dir_all(dir).expect("create digg dir");
-        let fixture = digg_fixture(&DiggFixtureConfig::default()).expect("digg fixture");
-        fixture
-            .write_votes_csv(std::fs::File::create(&votes_path).expect("create votes csv"))
-            .expect("write votes csv");
-        fixture
-            .write_friends_csv(std::fs::File::create(&friends_path).expect("create friends csv"))
-            .expect("write friends csv");
-        eprintln!("[digg] no CSVs in {dir}; wrote the synthetic fixture");
-    }
-    let open = |p: &std::path::Path| std::fs::File::open(p).expect("open digg csv");
-    let dataset =
-        DiggDataset::read_csv(open(&votes_path), open(&friends_path)).expect("parse digg csvs");
-    // Loader determinism — the digg replay's slice gate: parsing the
-    // same bytes twice must build the identical dataset.
-    let reparsed =
-        DiggDataset::read_csv(open(&votes_path), open(&friends_path)).expect("parse digg csvs");
-    let slice_identical = dataset == reparsed;
-    let graph = Arc::new(dataset.follower_graph());
-    let stories: Vec<u32> = dataset
-        .stories_by_popularity()
-        .into_iter()
-        .take(if smoke { 3 } else { 8 })
-        .map(|(story, _)| story)
-        .collect();
-    eprintln!(
-        "[digg] {} votes, {} users; replaying stories {stories:?}",
-        dataset.votes().len(),
-        dataset.user_count(),
-    );
-    let soak: Vec<SoakCascade> = stories
+/// The elasticity drill on a three-backend, two-replica routed tier:
+/// drain the third backend (measured handoff), kill and `remove` the
+/// second (measured remap), restart it and `rejoin`, and after every
+/// transition re-probe each gate forecast against the recorded routed
+/// bytes. Replication must make the whole sequence lossless.
+fn elasticity_drill(
+    label: &str,
+    front: SocketAddr,
+    graph: &Arc<DiGraph>,
+    backends: &mut [DlmServer<ServerState>],
+    probes: &[(&str, &str)],
+) -> Drill {
+    let addrs: Vec<String> = backends
         .iter()
-        .map(|&story| {
-            let votes = dataset.story_votes(story);
-            let submit = votes.first().expect("story has votes").timestamp;
-            let initiator = dataset.initiator(story).expect("story initiator");
-            let mut by_hour: Vec<Vec<(u64, usize)>> = vec![Vec::new(); DIGG_HORIZON as usize];
-            let mut dropped = 0usize;
-            for v in &votes {
-                let bucket = ((v.timestamp - submit) / 3600) as usize;
-                if bucket < by_hour.len() {
-                    by_hour[bucket].push((v.timestamp, v.voter));
-                } else {
-                    dropped += 1;
-                }
-            }
-            if dropped > 0 {
+        .map(|b| b.local_addr().to_string())
+        .collect();
+    let mut lost_responses = 0usize;
+    let probe_all = |step: &str, lost: &mut usize| {
+        for (ci, &(line, expected)) in probes.iter().enumerate() {
+            let answered = LineClient::connect(front)
+                .and_then(|mut c| c.send_raw(line))
+                .ok();
+            if answered.as_deref() != Some(expected) {
+                *lost += 1;
                 eprintln!(
-                    "[digg] story {story}: {dropped} votes after hour {DIGG_HORIZON} not replayed"
+                    "[{label}] ELASTICITY GATE FAILED ({step}): cascade {ci} got {answered:?}, \
+                     expected the pre-transition bytes"
                 );
             }
-            let deliveries = by_hour
-                .iter()
-                .enumerate()
-                .map(|(hour0, votes)| Delivery {
-                    now: submit + (hour0 as u64 + 1) * 3600,
-                    votes: votes.clone(),
-                    late: false,
-                })
-                .collect();
-            SoakCascade {
-                wire_name: format!("digg-s{story}"),
-                regime_label: "digg",
-                initiator,
-                submit,
-                horizon: DIGG_HORIZON,
-                deliveries,
-            }
-        })
-        .collect();
-    let mut report = soak_workload("digg", &graph, &soak, transport);
-    report.slice_identical = slice_identical;
-    if !slice_identical {
-        eprintln!("[digg] SLICE GATE FAILED: re-parsing the CSVs changed the dataset");
+        }
+    };
+    let admin = |verb: &str, backend: &str, lost: &mut usize| {
+        let response = request(
+            front,
+            &format!(r#"{{"type":"{verb}","backend":"{backend}"}}"#),
+        );
+        if ok_of(&response) != Some(true) {
+            eprintln!("[{label}] ELASTICITY GATE FAILED: {verb} rejected: {response}");
+            *lost += probes.len();
+        }
+        response
+    };
+
+    // 1. Drain the third backend: its cascades hand off while it is
+    //    still alive. `handoff_ms` is the routing pause the swap cost.
+    let drain = admin("drain", &addrs[2], &mut lost_responses);
+    let handoff_ms = drain.get("handoff_ms").and_then(Json::as_f64);
+    eprintln!(
+        "[{label}] drained {}: migrated {} evicted {} in {handoff_ms:?} ms",
+        addrs[2],
+        drain.get("migrated").and_then(Json::as_u64).unwrap_or(0),
+        drain.get("evicted").and_then(Json::as_u64).unwrap_or(0),
+    );
+    probe_all("post-drain", &mut lost_responses);
+
+    // 2. Kill the second backend outright — no goodbye, mid-service.
+    //    Reads must fail over to the surviving replica instantly.
+    backends[1].shutdown();
+    probe_all("post-kill", &mut lost_responses);
+
+    // 3. Fail-stop `remove`: survivors re-replicate, the ring shrinks.
+    //    `remap_fraction` is the keyspace share the dead node owned,
+    //    computed from the same ring the router routes with.
+    let survivors = vec![addrs[0].clone()];
+    let both = vec![addrs[0].clone(), addrs[1].clone()];
+    let remap = remap_fraction(
+        &HashRing::new(&both, HashRing::DEFAULT_REPLICAS).expect("ring"),
+        &both,
+        &HashRing::new(&survivors, HashRing::DEFAULT_REPLICAS).expect("ring"),
+        &survivors,
+    );
+    let removal = admin("remove", &addrs[1], &mut lost_responses);
+    probe_all("post-remove", &mut lost_responses);
+    eprintln!(
+        "[{label}] removed {}: remap fraction {remap:.4}, ring version {}",
+        addrs[1],
+        removal
+            .get("ring_version")
+            .and_then(Json::as_u64)
+            .unwrap_or(0),
+    );
+
+    // 4. Auto-rejoin: the killed node restarts on its old address and
+    //    announces itself with the `rejoin` verb — the same line a
+    //    `--announce` backend sends on boot. Re-admission replicates its
+    //    share back under a bumped ring, and every *unaffected* shard
+    //    must keep answering the exact pre-rejoin bytes.
+    let _restarted = bind_backend(graph, &addrs[1]);
+    let rejoin = admin("rejoin", &addrs[1], &mut lost_responses);
+    let rejoin_ms = rejoin.get("rejoin_ms").and_then(Json::as_f64);
+    let repair_count = rejoin.get("repaired").and_then(Json::as_u64).unwrap_or(0);
+    eprintln!(
+        "[{label}] rejoined {}: repaired {repair_count} in {rejoin_ms:?} ms, ring version {}",
+        addrs[1],
+        rejoin
+            .get("ring_version")
+            .and_then(Json::as_u64)
+            .unwrap_or(0),
+    );
+    probe_all("post-rejoin", &mut lost_responses);
+
+    if lost_responses > 0 {
+        eprintln!("[{label}] ELASTICITY GATE FAILED: {lost_responses} lost responses (must be 0)");
     }
-    report
+    Drill {
+        remap_fraction: remap,
+        handoff_ms,
+        rejoin_ms,
+        repair_count,
+        lost_responses,
+    }
 }
 
-/// The soak mode entry point: every requested regime (and the optional
-/// digg replay) through both tiers, one `BENCH_scenarios.json`, exit
-/// nonzero if any gate failed.
-fn run_scenario_soak(
-    regime_names: &[String],
-    digg_dir: Option<&str>,
-    smoke: bool,
-    transport: Transport,
-) {
-    let clients = if smoke { 4 } else { 8 };
-    let mut reports: Vec<RegimeReport> = Vec::new();
-    for name in regime_names {
-        let regime = match find_regime(name) {
-            Ok(regime) => regime,
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
+fn main() {
+    let mut names: Vec<String> = Vec::new();
+    let mut digg_dir: Option<String> = None;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            // Appended by `cargo bench` to every harness-less bench.
+            "--bench" => {}
+            "--digg-dir" => {
+                digg_dir = Some(args.next().unwrap_or_else(|| {
+                    eprintln!("missing value for --digg-dir");
+                    std::process::exit(2);
+                }));
             }
-        };
-        let mut stream = ScenarioStream::new(regime, SCENARIO_SEED).expect("scenario stream");
-        let graph = stream.graph().clone();
-        let generated: Vec<dlm_scenarios::ScenarioCascade> =
-            stream.by_ref().take(clients).collect();
-        let soak: Vec<SoakCascade> = generated
-            .iter()
-            .enumerate()
-            .map(|(i, c)| SoakCascade {
-                wire_name: format!("{}-c{i}", regime.name),
-                regime_label: regime.name,
-                initiator: c.initiator,
-                submit: c.submit_time,
-                horizon: c.horizon,
-                deliveries: c.deliveries.clone(),
-            })
-            .collect();
-        let mut report = soak_workload(regime.name, &graph, &soak, transport);
-        // Slice re-derivation gate: the stream's last cascade
-        // regenerated cold — fresh graph, different parallelism — must
-        // be bit-identical.
-        let last = clients as u64 - 1;
-        let rederived = generate_batch(regime, SCENARIO_SEED, last, 1, Parallelism::Fixed(2))
-            .expect("slice re-derivation");
-        report.slice_identical =
-            rederived[0].canonical_bytes() == generated[last as usize].canonical_bytes();
-        if !report.slice_identical {
-            eprintln!(
-                "[{name}] SLICE GATE FAILED: ({name}, {SCENARIO_SEED}, {last}) did not \
-                 re-derive bit-identically"
-            );
+            _ => names.push(arg),
         }
-        reports.push(report);
+    }
+    let runs: Vec<Run> = if names.is_empty() {
+        PLAN.to_vec()
+    } else {
+        names
+            .iter()
+            .map(|name| {
+                resolve(name).unwrap_or_else(|| {
+                    let plan: Vec<&str> = PLAN.iter().map(|r| r.name).collect();
+                    let regimes: Vec<&str> = catalog().iter().map(|r| r.name).collect();
+                    eprintln!(
+                        "unknown run `{name}`\nusage: serve_load [RUN ...] [--digg-dir DIR]\n\
+                         runs: {}\nor any catalog regime: {}",
+                        plan.join(" "),
+                        regimes.join(" "),
+                    );
+                    std::process::exit(2);
+                })
+            })
+            .collect()
+    };
+
+    // Start the scrape artifact fresh; each tier of each run appends.
+    if let Ok(path) = std::env::var("DLM_OBS_SCRAPE_OUT") {
+        std::fs::write(&path, "").expect("truncate scrape out");
     }
 
-    let digg = digg_dir.map(|dir| run_digg_soak(dir, smoke, transport));
+    let mut story: Option<Built> = None;
+    let mut reports: Vec<Report> = Vec::new();
+    for run in &runs {
+        let owned;
+        let built: &Built = match run.workload {
+            Workload::Story => story.get_or_insert_with(story_workload),
+            Workload::Regime(name) => {
+                owned = regime_workload(name);
+                &owned
+            }
+            Workload::Digg => {
+                owned = digg_workload(digg_dir.as_deref());
+                &owned
+            }
+        };
+        reports.push(soak_workload(run, built));
+    }
 
-    let soak_ok = reports.iter().all(RegimeReport::gates_pass)
-        && digg.as_ref().is_none_or(RegimeReport::gates_pass);
-    let entries: Vec<String> = reports.iter().map(RegimeReport::to_json).collect();
-    let digg_json = digg
-        .as_ref()
-        .map_or("null".to_owned(), RegimeReport::to_json);
+    let failed: Vec<&str> = reports
+        .iter()
+        .filter(|r| !r.gates_pass())
+        .map(|r| r.run.name)
+        .collect();
+    let entries: Vec<String> = reports.iter().map(Report::to_json).collect();
     let json = format!(
-        "{{\n  \"schema\": \"{schema}\",\n  \"mode\": \"{mode}\",\n  \
-         \"hardware_threads\": {threads},\n  \"clients\": {clients},\n  \
-         \"seed\": {seed},\n  \"regimes\": [\n    {entries}\n  ],\n  \
-         \"digg\": {digg_json},\n  \"soak_ok\": {soak_ok}\n}}\n",
-        schema = artifact::SCENARIOS_SCHEMA,
-        mode = if smoke { "smoke" } else { "full" },
-        threads = artifact::hardware_threads(),
-        seed = SCENARIO_SEED,
+        "{{\n  \"schema\": \"{schema}\",\n  \"seed\": {SCENARIO_SEED},\n  \
+         \"runs\": [\n    {entries}\n  ],\n  \"ok\": {ok}\n}}\n",
+        schema = artifact::SERVE_SCHEMA,
         entries = entries.join(",\n    "),
+        ok = failed.is_empty(),
     );
-    let out = artifact::bench_out("BENCH_scenarios.json");
-    artifact::write(&out, &json).expect("valid scenarios artifact");
+    let out = artifact::bench_out("BENCH_serve.json");
+    artifact::write(&out, &json).expect("valid serve artifact");
     eprintln!("wrote {out}");
-    if !soak_ok {
+    if !failed.is_empty() {
+        eprintln!("gates failed in: {}", failed.join(", "));
         std::process::exit(1);
     }
 }

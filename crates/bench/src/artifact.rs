@@ -9,28 +9,14 @@
 
 use dlm_serve::Json;
 
-/// Single-server load runs (`BENCH_serve.json`). `runs` holds one entry
-/// per measured configuration. `v3` added `service_times` (server-side
-/// per-verb p50/p95 from the scraped `metrics` histogram snapshot) and
-/// `metrics_ok` (the scrape's counters matched the client-side counts)
-/// to every run entry; `v4` drops the per-run front-end name and the
-/// front-end comparison headline, since the server has one front end.
-pub const SERVE_SCHEMA: &str = "dlm-bench/serve/v4";
-
-/// Routed load runs (`BENCH_router.json`), including the `--kill-one`
-/// elasticity drill. `v3` added `hardware_threads` and `transport` to
-/// the shared load fields; `v4` adds the auto-rejoin leg of the drill
-/// — `rejoin_ms` (wall time of the re-admission sweep, `null` without
-/// `--kill-one`) and `repair_count` (cascade copies re-pushed to the
-/// restarted node).
-pub const ROUTER_SCHEMA: &str = "dlm-bench/router/v4";
-
-/// Scenario-factory soak runs (`BENCH_scenarios.json`): each requested
-/// regime replayed through the direct tier and a routed tier with
-/// per-regime Eq.-8 accuracy, served-vs-offline bit identity, and
-/// slice re-derivation gates, plus the optional `--digg-dir` CSV
-/// end-to-end replay as the `digg` object (`null` when not requested).
-pub const SCENARIOS_SCHEMA: &str = "dlm-bench/scenarios/v1";
+/// `serve_load` gate runs (`BENCH_serve.json`). `runs` holds one entry
+/// per run-table row executed. `v5` folds the routed and scenario-soak
+/// artifacts into this one: every run replays through both tiers and
+/// carries the full gate record, plus a `drill` object (`null` unless
+/// the run drains, kills and rejoins a backend); the wall-time,
+/// throughput and latency fields are gone (`perfbench` owns
+/// performance).
+pub const SERVE_SCHEMA: &str = "dlm-bench/serve/v5";
 
 /// Offline evaluation-pipeline timings (`BENCH_evaluation.json`).
 pub const EVALUATION_SCHEMA: &str = "dlm-bench/evaluation/v1";
@@ -39,33 +25,19 @@ pub const EVALUATION_SCHEMA: &str = "dlm-bench/evaluation/v1";
 pub const CALIBRATION_SCHEMA: &str = "dlm-bench/calibration/v1";
 
 /// Keys every element of a serve artifact's `runs` array must carry.
+/// `slice_identical` may be `null` (no stream to re-derive); `drill` is
+/// `null` or an object carrying [`SERVE_DRILL_KEYS`].
 pub const SERVE_RUN_KEYS: &[&str] = &[
-    "label",
+    "name",
+    "workload",
     "transport",
     "batch",
-    "requests",
-    "wire_lines",
-    "wall_seconds",
-    "throughput_rps",
-    "ingest_latency",
-    "forecast_latency",
-    "service_times",
-    "protocol_ok",
-    "metrics_ok",
-    "outputs_identical",
-];
-
-/// Keys every element of a scenarios artifact's `regimes` array (and
-/// its `digg` object, when present) must carry.
-pub const SCENARIO_REGIME_KEYS: &[&str] = &[
-    "regime",
     "cascades",
     "deliveries",
     "votes_accepted",
     "late_rejections",
     "requests",
-    "wall_seconds",
-    "throughput_rps",
+    "wire_lines",
     "eq8_mean_accuracy",
     "accuracy_floor",
     "accuracy_ok",
@@ -74,6 +46,16 @@ pub const SCENARIO_REGIME_KEYS: &[&str] = &[
     "outputs_identical",
     "routed_identical",
     "slice_identical",
+    "drill",
+];
+
+/// Keys a run entry's non-null `drill` object must carry.
+pub const SERVE_DRILL_KEYS: &[&str] = &[
+    "remap_fraction",
+    "handoff_ms",
+    "rejoin_ms",
+    "repair_count",
+    "lost_responses",
 ];
 
 /// The registry: declared schema → required top-level keys. Adding a
@@ -82,50 +64,7 @@ pub const SCENARIO_REGIME_KEYS: &[&str] = &[
 #[must_use]
 pub fn required_keys(schema: &str) -> Option<&'static [&'static str]> {
     match schema {
-        s if s == SERVE_SCHEMA => Some(&[
-            "schema",
-            "mode",
-            "hardware_threads",
-            "clients",
-            "hours_streamed",
-            "votes_replayed_per_client",
-            "runs",
-        ]),
-        s if s == ROUTER_SCHEMA => Some(&[
-            "schema",
-            "mode",
-            "backends",
-            "clients",
-            "data_replicas",
-            "hardware_threads",
-            "transport",
-            "hours_streamed",
-            "votes_replayed_per_client",
-            "requests",
-            "wall_seconds",
-            "throughput_rps",
-            "ingest_latency",
-            "forecast_latency",
-            "routed_per_backend",
-            "aggregate_cache",
-            "remap_fraction",
-            "handoff_ms",
-            "rejoin_ms",
-            "repair_count",
-            "lost_responses",
-            "protocol_ok",
-            "routed_identical",
-        ]),
-        s if s == SCENARIOS_SCHEMA => Some(&[
-            "schema",
-            "mode",
-            "hardware_threads",
-            "clients",
-            "seed",
-            "regimes",
-            "digg",
-            "soak_ok",
-        ]),
+        s if s == SERVE_SCHEMA => Some(&["schema", "seed", "runs", "ok"]),
         s if s == EVALUATION_SCHEMA => Some(&[
             "schema",
             "mode",
@@ -218,33 +157,17 @@ pub fn validate(text: &str) -> Result<(), String> {
                     return Err(format!("runs[{i}] is missing key `{key}`"));
                 }
             }
-        }
-    }
-    if schema == SCENARIOS_SCHEMA {
-        // `regimes` may be empty (a `--digg-dir`-only run), but every
-        // entry — and the `digg` object when it is not null — carries
-        // the full gate record.
-        let regimes = value
-            .get("regimes")
-            .and_then(Json::as_array)
-            .ok_or("`regimes` must be an array")?;
-        for (i, entry) in regimes.iter().enumerate() {
-            for key in SCENARIO_REGIME_KEYS {
-                if entry.get(key).is_none() {
-                    return Err(format!("regimes[{i}] is missing key `{key}`"));
+            match run.get("drill") {
+                Some(Json::Null) => {}
+                Some(drill @ Json::Obj(_)) => {
+                    for key in SERVE_DRILL_KEYS {
+                        if drill.get(key).is_none() {
+                            return Err(format!("runs[{i}].drill is missing key `{key}`"));
+                        }
+                    }
                 }
+                _ => return Err(format!("runs[{i}].drill must be null or an object")),
             }
-        }
-        let digg = value.get("digg").expect("required key checked above");
-        if !matches!(digg, Json::Null) {
-            for key in SCENARIO_REGIME_KEYS {
-                if digg.get(key).is_none() {
-                    return Err(format!("`digg` is missing key `{key}`"));
-                }
-            }
-        }
-        if regimes.is_empty() && matches!(digg, Json::Null) {
-            return Err("a scenarios artifact must record at least one replay".into());
         }
     }
     check_finite(&value, "$")
@@ -279,47 +202,37 @@ pub fn write(path: &str, text: &str) -> Result<(), String> {
 mod tests {
     use super::*;
 
-    fn serve_doc(run_extra: &str, top_extra: &str) -> String {
-        let run = format!(
-            "{{\"label\":\"single\",\"transport\":\"binary\",\
-             \"batch\":64,\"requests\":100,\"wire_lines\":10,\"wall_seconds\":0.5,\
-             \"throughput_rps\":200.0,\"ingest_latency\":null,\"forecast_latency\":null,\
-             \"service_times\":{{\"ingest\":{{\"count\":40,\"p50_ms\":0.5,\"p95_ms\":2.0}}}},\
-             \"protocol_ok\":true,\"metrics_ok\":true,\"outputs_identical\":true{run_extra}}}"
-        );
+    const DRILL: &str = "{\"remap_fraction\":0.5,\"handoff_ms\":1.2,\"rejoin_ms\":null,\
+         \"repair_count\":3,\"lost_responses\":0}";
+
+    fn run_entry(slice: &str, drill: &str) -> String {
         format!(
-            "{{\"schema\":\"{SERVE_SCHEMA}\",\"mode\":\"smoke\",\"hardware_threads\":8,\
-             \"clients\":4,\"hours_streamed\":5,\"votes_replayed_per_client\":100,\
-             \"runs\":[{run}]{top_extra}}}"
+            "{{\"name\":\"story-binary-batch3\",\"workload\":\"story\",\"transport\":\"binary\",\
+             \"batch\":3,\"cascades\":4,\"deliveries\":20,\"votes_accepted\":160,\
+             \"late_rejections\":0,\"requests\":48,\"wire_lines\":16,\
+             \"eq8_mean_accuracy\":0.91,\"accuracy_floor\":null,\"accuracy_ok\":true,\
+             \"protocol_ok\":true,\"metrics_ok\":true,\"outputs_identical\":true,\
+             \"routed_identical\":true,\"slice_identical\":{slice},\"drill\":{drill}}}"
         )
     }
 
-    const SCENARIO_ENTRY: &str = "{\"regime\":\"broadcast\",\"cascades\":4,\"deliveries\":20,\
-         \"votes_accepted\":160,\"late_rejections\":0,\"requests\":50,\
-         \"wall_seconds\":0.8,\"throughput_rps\":62.5,\"eq8_mean_accuracy\":0.91,\
-         \"accuracy_floor\":0.5,\"accuracy_ok\":true,\"protocol_ok\":true,\
-         \"metrics_ok\":true,\"outputs_identical\":true,\"routed_identical\":true,\
-         \"slice_identical\":true}";
-
-    fn scenarios_doc(regimes: &str, digg: &str) -> String {
+    fn serve_doc(run: &str, top_extra: &str) -> String {
         format!(
-            "{{\"schema\":\"{SCENARIOS_SCHEMA}\",\"mode\":\"smoke\",\"hardware_threads\":8,\
-             \"clients\":4,\"seed\":42,\"regimes\":[{regimes}],\"digg\":{digg},\"soak_ok\":true}}"
+            "{{\"schema\":\"{SERVE_SCHEMA}\",\"seed\":42,\"runs\":[{run}],\"ok\":true{top_extra}}}"
         )
     }
 
     #[test]
     fn valid_artifacts_pass() {
-        validate(&serve_doc("", "")).expect("serve doc validates");
-        validate(&scenarios_doc(SCENARIO_ENTRY, "null")).expect("scenarios doc validates");
-        validate(&scenarios_doc("", SCENARIO_ENTRY)).expect("digg-only scenarios doc validates");
+        validate(&serve_doc(&run_entry("true", "null"), "")).expect("serve doc validates");
     }
 
     #[test]
     fn missing_keys_and_unknown_schemas_fail() {
-        let missing = serve_doc("", "").replace("\"mode\":\"smoke\",", "");
-        assert!(validate(&missing).unwrap_err().contains("`mode`"));
-        let unknown = serve_doc("", "").replace(SERVE_SCHEMA, "dlm-bench/other/v9");
+        let doc = serve_doc(&run_entry("true", "null"), "");
+        let missing = doc.replace("\"seed\":42,", "");
+        assert!(validate(&missing).unwrap_err().contains("`seed`"));
+        let unknown = doc.replace(SERVE_SCHEMA, "dlm-bench/other/v9");
         assert!(validate(&unknown).unwrap_err().contains("registry"));
         assert!(validate("[1,2,3]").is_err());
         assert!(validate("{\"a\":1}").is_err());
@@ -327,7 +240,7 @@ mod tests {
 
     #[test]
     fn run_entries_are_validated_too() {
-        let missing_run_key = serve_doc("", "").replace("\"batch\":64,", "");
+        let missing_run_key = serve_doc(&run_entry("true", "null"), "").replace("\"batch\":3,", "");
         assert!(validate(&missing_run_key)
             .unwrap_err()
             .contains("runs[0] is missing key `batch`"));
@@ -335,18 +248,24 @@ mod tests {
 
     #[test]
     fn scenario_regime_entries_are_validated_too() {
-        let missing = scenarios_doc(SCENARIO_ENTRY, "null").replace("\"late_rejections\":0,", "");
+        // A run with no stream to re-derive records a `null` slice gate,
+        // and a drill run records its drill object.
+        validate(&serve_doc(&run_entry("null", DRILL), "")).expect("drill run validates");
+        let missing =
+            serve_doc(&run_entry("true", "null"), "").replace("\"late_rejections\":0,", "");
         assert!(validate(&missing)
             .unwrap_err()
-            .contains("regimes[0] is missing key `late_rejections`"));
-        // A non-null `digg` object must carry the same gate record.
-        assert!(
-            validate(&scenarios_doc(SCENARIO_ENTRY, "{\"regime\":\"digg\"}"))
-                .unwrap_err()
-                .contains("`digg` is missing key")
-        );
-        // An artifact that replayed nothing at all is a writer bug.
-        assert!(validate(&scenarios_doc("", "null"))
+            .contains("runs[0] is missing key `late_rejections`"));
+        // A drill object must carry the full drill record.
+        let partial = run_entry("null", DRILL).replace("\"lost_responses\":0", "\"lost\":0");
+        assert!(validate(&serve_doc(&partial, ""))
+            .unwrap_err()
+            .contains("drill is missing key `lost_responses`"));
+        assert!(validate(&serve_doc(&run_entry("true", "7"), ""))
+            .unwrap_err()
+            .contains("null or an object"));
+        // An artifact that ran nothing at all is a writer bug.
+        assert!(validate(&serve_doc("", ""))
             .unwrap_err()
             .contains("at least one"));
     }
@@ -354,7 +273,7 @@ mod tests {
     #[test]
     fn non_finite_numbers_are_rejected() {
         // What a writer interpolating a NaN float actually produces.
-        let bad = serve_doc("", ",\"extra\":NaN");
+        let bad = serve_doc(&run_entry("true", "null"), ",\"extra\":NaN");
         assert!(validate(&bad).is_err());
     }
 }

@@ -9,6 +9,8 @@
 //!
 //! With no arguments (or `all`), runs everything at full scale
 //! (20,000 users). `--scale 0.1` shrinks the world for a quick pass.
+//! An unknown experiment name prints the list and exits nonzero before
+//! any world is generated.
 
 use dlm_bench::experiments::{
     ablation_growth, ablation_phi, ablation_spatial_growth, compare_baselines,
@@ -17,6 +19,35 @@ use dlm_bench::experiments::{
     PredictionExperiment, Protocol,
 };
 use std::process::ExitCode;
+
+/// Every experiment [`run`] answers to; `all` selects them all.
+const EXPERIMENTS: &[&str] = &[
+    "fig2",
+    "fig3",
+    "fig4",
+    "fig5",
+    "fig6",
+    "fig7a",
+    "fig7b",
+    "table1",
+    "table2",
+    "compare",
+    "ablation-phi",
+    "ablation-growth",
+    "ablation-spatial",
+    "wave",
+    "sensitivity",
+    "convergence",
+    "properties",
+];
+
+/// The first requested name that is neither an experiment nor `all`.
+fn unknown_experiment(wanted: &[String]) -> Option<&str> {
+    wanted
+        .iter()
+        .map(String::as_str)
+        .find(|w| *w != "all" && !EXPERIMENTS.contains(w))
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -34,9 +65,8 @@ fn main() -> ExitCode {
             },
             "--help" | "-h" => {
                 println!(
-                    "Usage: repro [--scale S] [EXPERIMENT...]\n\
-                     Experiments: fig2 fig3 fig4 fig5 fig6 fig7a fig7b table1 table2\n\
-                     \u{20}            compare ablation-phi ablation-growth ablation-spatial wave sensitivity convergence properties all"
+                    "Usage: repro [--scale S] [EXPERIMENT...]\nExperiments: {} all",
+                    EXPERIMENTS.join(" ")
                 );
                 return ExitCode::SUCCESS;
             }
@@ -45,6 +75,14 @@ fn main() -> ExitCode {
     }
     if wanted.is_empty() {
         wanted.push("all".into());
+    }
+    // Checked before the world generates, which is the slow part.
+    if let Some(name) = unknown_experiment(&wanted) {
+        eprintln!(
+            "error: unknown experiment `{name}`\nExperiments: {} all",
+            EXPERIMENTS.join(" ")
+        );
+        return ExitCode::FAILURE;
     }
     if let Err(e) = run(scale, &wanted) {
         eprintln!("error: {e}");
@@ -336,4 +374,33 @@ fn print_fig7(exp: &PredictionExperiment) {
         println!("t={h} pred {}", cells(pred));
     }
     println!();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn names(list: &[&str]) -> Vec<String> {
+        list.iter().map(ToString::to_string).collect()
+    }
+
+    #[test]
+    fn unknown_experiment_names_are_rejected() {
+        assert_eq!(unknown_experiment(&names(&["tabel1"])), Some("tabel1"));
+        assert_eq!(
+            unknown_experiment(&names(&["table1", "fig9", "compare"])),
+            Some("fig9")
+        );
+        let mut every = names(EXPERIMENTS);
+        every.push("all".into());
+        assert_eq!(unknown_experiment(&every), None);
+        // The list is the dispatcher's: every name `run` tests for is on it.
+        for piece in include_str!("repro.rs").split("want(\"").skip(1) {
+            let name = piece.split('"').next().expect("quoted name");
+            assert!(
+                EXPERIMENTS.contains(&name),
+                "`{name}` missing from EXPERIMENTS"
+            );
+        }
+    }
 }

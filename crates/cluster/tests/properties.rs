@@ -9,8 +9,11 @@
 //!    and the same behaviour on the next event.
 //! 2. The byte codec round-trips arbitrary snapshot structs exactly and
 //!    rejects every single-byte corruption.
+//! 3. The body decoder never panics on a mutated snapshot whose
+//!    checksum was re-sealed to match, and anything it accepts
+//!    re-encodes to exactly the bytes it read.
 
-use dlm_cluster::CascadeSnapshot;
+use dlm_cluster::{hash64, CascadeSnapshot};
 use dlm_data::simulate::SIMULATED_SUBMIT_TIME;
 use dlm_data::Vote;
 use dlm_graph::GraphBuilder;
@@ -168,5 +171,50 @@ proptest! {
         let mut corrupt = bytes.clone();
         corrupt[index] ^= 0x01;
         prop_assert!(CascadeSnapshot::decode(&corrupt).is_err());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn resealed_mutations_never_panic_the_decoder(
+        counts in prop::collection::vec(prop::collection::vec(0u64..4, 0..4), 0..4),
+        group_of in prop::collection::vec(0u32..3, 0..8),
+        edits in prop::collection::vec((0usize..1 << 16, 0u32..256, 0u32..4), 1..6),
+    ) {
+        let snap = CascadeSnapshot {
+            id: "c☂".into(),
+            initiator: Some(7),
+            submit_time: 1_250_000_000,
+            horizon: 6,
+            closed: 2,
+            counted: 9,
+            ignored: 1,
+            sizes: vec![3, 5],
+            group_of: group_of.into_iter().map(|g| g.checked_sub(1)).collect(),
+            counts,
+            hour1_voters: vec![4, 2],
+        };
+        let bytes = snap.encode();
+        let mut payload = bytes[..bytes.len() - 8].to_vec();
+        // Overwrite, insert, or delete a byte, or cut the tail — past the
+        // magic, which is checked before the checksum.
+        for (at, byte, kind) in edits {
+            let at = 4 + at % (payload.len() - 3);
+            match kind {
+                0 if at < payload.len() => payload[at] = byte as u8,
+                1 => payload.insert(at, byte as u8),
+                2 if at < payload.len() => {
+                    payload.remove(at);
+                }
+                _ => payload.truncate(at),
+            }
+        }
+        let checksum = hash64(&payload);
+        payload.extend_from_slice(&checksum.to_le_bytes());
+        if let Ok(decoded) = CascadeSnapshot::decode(&payload) {
+            prop_assert_eq!(decoded.encode(), payload);
+        }
     }
 }

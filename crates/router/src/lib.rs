@@ -30,8 +30,7 @@
 //! same JSON-lines protocol on its front (see `docs/PROTOCOL.md`), a
 //! client pointed at a router instead of a single server sees
 //! byte-identical forecasts — the `router_roundtrip` integration test
-//! and the `serve_load --router` load gate both prove it over real
-//! sockets.
+//! and every `serve_load` gate run both prove it over real sockets.
 //!
 //! ## Example (in-process cluster)
 //!

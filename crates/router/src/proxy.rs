@@ -11,8 +11,8 @@
 //! response line is relayed **verbatim** back. The router never
 //! re-serializes a routed payload, so a routed forecast is trivially
 //! byte-identical to the same forecast served directly — the
-//! `router_roundtrip` integration test and the `serve_load --router`
-//! gate both check exactly that over real sockets.
+//! `router_roundtrip` integration test and every `serve_load` gate run
+//! both check exactly that over real sockets.
 //!
 //! ## Replicated placement and failover
 //!

@@ -158,7 +158,7 @@ impl Diffusivity {
 /// A named workload family: topology × shape × diffusivity × storm.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Regime {
-    /// Catalog name — the `--scenario <name>` / wire `regime` value.
+    /// Catalog name — the `serve_load` run name / wire `regime` value.
     pub name: &'static str,
     /// One-line description for docs and artifacts.
     pub summary: &'static str,

@@ -9,7 +9,7 @@
 //!    and the surviving state matches the offline batch builder bit
 //!    for bit.
 //!
-//! These are the invariants the `serve_load --scenario` soak gates
+//! These are the invariants the `serve_load` regime soak gates
 //! lean on; here they get adversarial inputs instead of one seed.
 
 use dlm_cascade::hops::hop_density_matrix;

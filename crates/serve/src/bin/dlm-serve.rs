@@ -4,7 +4,7 @@
 //! ```text
 //! dlm-serve [--addr 127.0.0.1:7878] [--scale 0.15] [--capacity 1024]
 //!           [--cascades 4096] [--cascade-ttl SECS] [--workers N]
-//!           [--no-prewarm] [--quick-lineup] [--starts N]
+//!           [--no-prewarm] [--starts N]
 //!           [--snapshot-dir DIR] [--io-threads N]
 //!           [--announce ROUTER_ADDR] [--log-level error|warn|info|debug]
 //! ```
@@ -15,14 +15,13 @@
 //! scripts wait for it), then serves until killed.
 
 use dlm_core::evaluate::Parallelism;
-use dlm_core::registry::ModelSpec;
 use dlm_data::{SyntheticWorld, WorldConfig};
 use dlm_serve::server::{DlmServer, ServeConfig, ServerState};
 
 fn usage() -> ! {
     eprintln!(
         "usage: dlm-serve [--addr HOST:PORT] [--scale F] [--capacity N] [--cascades N] \
-         [--cascade-ttl SECS] [--workers N] [--no-prewarm] [--quick-lineup] [--starts N] \
+         [--cascade-ttl SECS] [--workers N] [--no-prewarm] [--starts N] \
          [--snapshot-dir DIR] [--io-threads N] \
          [--announce ROUTER_ADDR] [--log-level error|warn|info|debug]"
     );
@@ -92,18 +91,6 @@ fn main() {
                         usage()
                     });
                 dlm_obs::set_level(level);
-            }
-            "--quick-lineup" => {
-                // The cheap half of the zoo — for latency-focused runs.
-                config.lineup = vec![
-                    ModelSpec::paper_hops_dl(),
-                    ModelSpec::LogisticOnly {
-                        capacity: 25.0,
-                        growth: dlm_core::predict::GrowthFamily::PaperHops,
-                    },
-                    ModelSpec::Naive,
-                    ModelSpec::LinearTrend,
-                ];
             }
             "--help" | "-h" => usage(),
             other => {

@@ -71,7 +71,8 @@
 //! Over TCP, bind a [`server::DlmServer`] instead and speak the same
 //! lines on a socket; `cargo run -p dlm-serve` starts a standalone
 //! server, and `cargo bench -p dlm-bench --bench serve_load` replays
-//! synthetic cascades against one at configurable concurrency.
+//! a table of workloads against one, and against a routed tier, under
+//! byte-identity and metrics gates.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

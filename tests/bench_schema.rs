@@ -7,59 +7,26 @@
 
 use dlm_bench::artifact;
 
-/// A document shaped exactly like `serve_load`'s single-server writer.
+/// A document shaped exactly like `serve_load`'s writer: one plain run,
+/// and one drill run with no slice gate.
 fn serve_fixture() -> String {
-    let run = r#"{"label": "single", "transport": "binary", "batch": 4,
-        "requests": 48, "wire_lines": 16, "wall_seconds": 0.084, "throughput_rps": 573.02,
-        "ingest_latency": {"n": 8, "mean_ms": 24.1, "stddev_ms": 9.0, "p50_ms": 22.0,
-                           "p95_ms": 40.0, "max_ms": 41.2},
-        "forecast_latency": null,
-        "service_times": {"ingest": {"count": 40, "p50_ms": 16.4, "p95_ms": 32.8},
-                          "forecast": {"count": 36, "p50_ms": 4.1, "p95_ms": 8.2}},
-        "cache": {"hits": 12, "misses": 20, "evictions": 0},
-        "protocol_ok": true, "metrics_ok": true, "outputs_identical": true}"#;
-    format!(
-        r#"{{"schema": "{}", "mode": "smoke", "hardware_threads": 8, "clients": 4,
-            "hours_streamed": 5, "votes_replayed_per_client": 163,
-            "runs": [{run}]}}"#,
-        artifact::SERVE_SCHEMA
-    )
-}
-
-/// A document shaped exactly like `serve_load`'s router writer.
-fn router_fixture() -> String {
-    format!(
-        r#"{{"schema": "{}", "mode": "smoke", "backends": 2, "clients": 4,
-            "data_replicas": 1, "hardware_threads": 8, "transport": "lines",
-            "hours_streamed": 5, "votes_replayed_per_client": 163, "requests": 48,
-            "wall_seconds": 0.1, "throughput_rps": 482.7, "ingest_latency": null,
-            "forecast_latency": null, "routed_per_backend": [13, 37],
-            "aggregate_cache": {{"hits": 5, "misses": 40, "evictions": 0}},
-            "remap_fraction": 0.0, "handoff_ms": null, "rejoin_ms": null,
-            "repair_count": 0, "lost_responses": 0,
-            "protocol_ok": true, "routed_identical": true}}"#,
-        artifact::ROUTER_SCHEMA
-    )
-}
-
-/// A document shaped exactly like `serve_load`'s scenario-soak writer.
-fn scenarios_fixture() -> String {
-    let entry = |regime: &str| {
+    let run = |name: &str, workload: &str, slice: &str, drill: &str| {
         format!(
-            r#"{{"regime": "{regime}", "cascades": 4, "deliveries": 32, "votes_accepted": 260,
-                "late_rejections": 5, "requests": 92, "wall_seconds": 0.14,
-                "throughput_rps": 650.2, "eq8_mean_accuracy": 0.163, "accuracy_floor": 0.07,
-                "accuracy_ok": true, "protocol_ok": true, "metrics_ok": true,
-                "outputs_identical": true, "routed_identical": true, "slice_identical": true}}"#
+            r#"{{"name": "{name}", "workload": "{workload}", "transport": "lines", "batch": 1,
+                "cascades": 4, "deliveries": 32, "votes_accepted": 260, "late_rejections": 5,
+                "requests": 92, "wire_lines": 92, "eq8_mean_accuracy": 0.163,
+                "accuracy_floor": 0.07, "accuracy_ok": true, "protocol_ok": true,
+                "metrics_ok": true, "outputs_identical": true, "routed_identical": true,
+                "slice_identical": {slice}, "drill": {drill}}}"#
         )
     };
+    let drill = r#"{"remap_fraction": 0.573021, "handoff_ms": 1.204, "rejoin_ms": 2.5,
+        "repair_count": 4, "lost_responses": 0}"#;
     format!(
-        r#"{{"schema": "{}", "mode": "smoke", "hardware_threads": 8, "clients": 4,
-            "seed": 42, "regimes": [{}, {}], "digg": {}, "soak_ok": true}}"#,
-        artifact::SCENARIOS_SCHEMA,
-        entry("broadcast"),
-        entry("storm"),
-        entry("digg"),
+        r#"{{"schema": "{}", "seed": 42, "runs": [{}, {}], "ok": true}}"#,
+        artifact::SERVE_SCHEMA,
+        run("storm", "storm", "true", "null"),
+        run("story-drill", "story", "null", drill),
     )
 }
 
@@ -94,8 +61,6 @@ fn calibration_fixture() -> String {
 fn every_writer_schema_is_registered_and_its_shape_validates() {
     for (schema, doc) in [
         (artifact::SERVE_SCHEMA, serve_fixture()),
-        (artifact::ROUTER_SCHEMA, router_fixture()),
-        (artifact::SCENARIOS_SCHEMA, scenarios_fixture()),
         (artifact::EVALUATION_SCHEMA, evaluation_fixture()),
         (artifact::CALIBRATION_SCHEMA, calibration_fixture()),
     ] {
@@ -109,13 +74,7 @@ fn every_writer_schema_is_registered_and_its_shape_validates() {
 
 #[test]
 fn dropping_any_required_key_fails_validation() {
-    for doc in [
-        serve_fixture(),
-        router_fixture(),
-        scenarios_fixture(),
-        evaluation_fixture(),
-        calibration_fixture(),
-    ] {
+    for doc in [serve_fixture(), evaluation_fixture(), calibration_fixture()] {
         let schema = dlm_serve::Json::parse(&doc)
             .expect("fixture parses")
             .get("schema")
@@ -145,9 +104,9 @@ fn unknown_schemas_and_nonfinite_numbers_fail_validation() {
         .contains("registry"));
 
     // What a writer interpolating a NaN/Inf float emits — not JSON at all.
-    let nan = serve_fixture().replace("573.02", "NaN");
+    let nan = serve_fixture().replace("0.573021", "NaN");
     assert!(artifact::validate(&nan).is_err());
-    let inf = serve_fixture().replace("573.02", "inf");
+    let inf = serve_fixture().replace("0.573021", "inf");
     assert!(artifact::validate(&inf).is_err());
 
     assert!(artifact::validate("[]").is_err());

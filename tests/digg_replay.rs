@@ -18,7 +18,7 @@ const HORIZON: u32 = 8;
 
 /// Writes the fixture through the CSV writers into a scratch directory
 /// and reads it back through the file-based loader path — the exact
-/// bytes-on-disk round trip `serve_load --digg-dir` performs.
+/// bytes-on-disk round trip `serve_load`'s `digg` run performs.
 fn fixture_through_disk() -> (DiggDataset, DiggDataset) {
     let dataset = digg_fixture(&DiggFixtureConfig::default()).expect("fixture generates");
     let dir: PathBuf = std::env::temp_dir().join(format!(
