@@ -8,7 +8,7 @@ use dlm_core::growth::ExpDecayGrowth;
 use dlm_core::initial::{InitialDensity, PhiConstruction};
 use dlm_core::params::DlParameters;
 use dlm_core::pde::{solve, SolverConfig, SolverMethod};
-use dlm_core::variable::{ConstantField, TimeOnlyField, VariableDlModelBuilder};
+use dlm_core::variable::{ConstantField, PerDistanceGrowth, TimeOnlyField, VariableDlModelBuilder};
 use dlm_numerics::spline::CubicSpline;
 use dlm_numerics::tridiag::{solve_thomas, TridiagonalMatrix};
 use std::hint::black_box;
@@ -110,19 +110,43 @@ fn bench_spline_construction(c: &mut Criterion) {
 }
 
 fn bench_variable_coefficient_solver(c: &mut Criterion) {
-    // The generalized (finite-volume) solver vs the classic one on the
-    // same constant-coefficient problem: the price of generality.
-    let model = VariableDlModelBuilder::new(1.0, 6.0)
+    // The generalized (finite-volume) solver on the classic
+    // constant-coefficient problem (the price of generality), and with
+    // the per-distance growth field the served `variable-dl(perdist=true)`
+    // fits: six exp-decay curves blended linearly in x.
+    let per_distance = PerDistanceGrowth::new(
+        1.0,
+        (0..6)
+            .map(|d| {
+                let s = 1.0 + 0.15 * f64::from(d);
+                ExpDecayGrowth::new(1.4 / s, 1.5 * s, 0.25 / s)
+            })
+            .collect(),
+    )
+    .expect("curves");
+    let builder = VariableDlModelBuilder::new(1.0, 6.0)
         .expect("domain")
         .diffusion(ConstantField(0.01))
-        .growth(TimeOnlyField(ExpDecayGrowth::paper_hops()))
         .capacity(ConstantField(25.0))
-        .resolution(100, 0.01)
-        .build(&[2.1, 0.7, 0.9, 0.5, 0.3, 0.2])
+        .resolution(100, 0.01);
+    let observed = [2.1, 0.7, 0.9, 0.5, 0.3, 0.2];
+    let time_only = builder
+        .clone()
+        .growth(TimeOnlyField(ExpDecayGrowth::paper_hops()))
+        .build(&observed)
         .expect("model");
-    c.bench_function("variable_coefficient_solver", |b| {
-        b.iter(|| black_box(&model).solve_until(6.0).expect("solve"));
-    });
+    let per_distance = builder
+        .growth(per_distance)
+        .build(&observed)
+        .expect("model");
+
+    let mut group = c.benchmark_group("variable_coefficient_solver");
+    for (name, model) in [("time_only", &time_only), ("per_distance", &per_distance)] {
+        group.bench_with_input(BenchmarkId::from_parameter(name), model, |b, model| {
+            b.iter(|| black_box(model).solve_until(6.0).expect("solve"));
+        });
+    }
+    group.finish();
 }
 
 criterion_group!(

@@ -18,13 +18,20 @@
 //! * [`SolverMethod::Rk4`] / [`SolverMethod::DormandPrince45`] — explicit
 //!   method-of-lines via [`dlm_numerics::ode`]; used to cross-validate the
 //!   implicit schemes (see the `pde_solvers` ablation bench).
+//!
+//! The implicit steppers here and in [`crate::variable`] allocate their
+//! workspace once per solve and evaluate coefficients once per step, so
+//! the step loop allocates nothing but the recorded rows. Their output is
+//! pinned bit for bit: `tests/solver_validation.rs` hashes every time and
+//! value bit of reference solves and of served-lineup fits, and a stepper
+//! change that moves any bit must re-baseline those hashes deliberately.
 
 use crate::error::{DlError, Result};
 use crate::growth::GrowthRate;
 use crate::initial::InitialDensity;
 use crate::params::DlParameters;
 use dlm_numerics::ode::{rk4, AdaptiveConfig, DormandPrince45};
-use dlm_numerics::tridiag::{solve_thomas, TridiagonalMatrix};
+use dlm_numerics::tridiag::solve_tridiagonal_into;
 
 /// Time-stepping scheme for the method-of-lines system.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -254,9 +261,9 @@ pub fn solve(
     let k = params.capacity();
 
     match config.method {
-        SolverMethod::CrankNicolson | SolverMethod::BackwardEuler => solve_implicit(
-            params, growth, &xs, u0, t_start, t_end, config, d_over_dx2, k,
-        ),
+        SolverMethod::CrankNicolson | SolverMethod::BackwardEuler => {
+            solve_implicit(growth, &xs, u0, t_start, t_end, config, d_over_dx2, k)
+        }
         SolverMethod::Rk4 => {
             let steps = ((t_end - t_start) / config.dt).ceil() as usize;
             let sys = MolSystem {
@@ -317,9 +324,14 @@ impl dlm_numerics::ode::OdeSystem for MolSystem<'_> {
     }
 }
 
+/// Newton iterations per implicit step before the solve gives up.
+pub(crate) const NEWTON_ITERATIONS: usize = 30;
+
+/// Max-norm Newton residual below which an implicit step is accepted.
+pub(crate) const NEWTON_TOLERANCE: f64 = 1e-11;
+
 #[allow(clippy::too_many_arguments)]
 fn solve_implicit(
-    _params: &DlParameters,
     growth: &dyn GrowthRate,
     xs: &[f64],
     u0: Vec<f64>,
@@ -335,6 +347,19 @@ fn solve_implicit(
     let dt = (t_end - t_start) / steps as f64;
     // Implicit weight: CN splits the operator evenly; BE is fully implicit.
     let theta = if crank_nicolson { 0.5 } else { 1.0 };
+    let explicit_weight = dt * (1.0 - theta);
+    let implicit_weight = dt * theta;
+
+    // The Jacobian's off-diagonals and the Laplacian part of its diagonal
+    // depend only on dt·θ·d/Δx², so they are built once per solve.
+    let a = implicit_weight * d_over_dx2;
+    let mut sub = vec![-a; n - 1];
+    let mut sup = vec![-a; n - 1];
+    sup[0] = -2.0 * a; // ghost-node reflection doubles the boundary coupling
+    sub[n - 2] = -2.0 * a;
+    // Laplacian diagonal is −2a at every node (boundary rows differ only in
+    // their off-diagonal, doubled by ghost reflection).
+    let diag_base = 1.0 + 2.0 * a;
 
     let mut u = u0;
     let mut times = Vec::with_capacity(steps + 1);
@@ -342,76 +367,70 @@ fn solve_implicit(
     times.push(t_start);
     values.push(u.clone());
 
-    let reaction = |t: f64, v: &[f64], out: &mut [f64]| {
-        let r = growth.rate(t);
-        for (o, &vj) in out.iter_mut().zip(v) {
-            *o = r * vj * (1.0 - vj / k);
-        }
-    };
-
+    // Per-solve workspace: the step loop allocates nothing but the
+    // recorded rows.
     let mut lap = vec![0.0; n];
-    let mut f_now = vec![0.0; n];
-    let mut f_next = vec![0.0; n];
+    let mut rhs = vec![0.0; n];
+    let mut v = vec![0.0; n];
+    let mut g = vec![0.0; n];
+    let mut trial = vec![0.0; n];
+    let mut diag = vec![0.0; n];
+    let mut delta = vec![0.0; n];
+    let mut c_scratch = vec![0.0; n];
+
+    // Writes G(v) = v − dt·θ·(Lap v + f(t_next, v)) − rhs into `out` and
+    // returns its max-norm; `r` is the growth rate at t_next.
+    let residual = |v: &[f64], r: f64, rhs: &[f64], lap: &mut [f64], out: &mut [f64]| {
+        laplacian(v, d_over_dx2, lap);
+        let mut norm = 0.0;
+        for j in 0..n {
+            let f = r * v[j] * (1.0 - v[j] / k);
+            out[j] = v[j] - implicit_weight * (lap[j] + f) - rhs[j];
+            norm = f64::max(norm, out[j].abs());
+        }
+        norm
+    };
 
     for s in 0..steps {
         let t_now = t_start + s as f64 * dt;
         let t_next = t_now + dt;
+        let r_now = growth.rate(t_now);
+        let r_next = growth.rate(t_next);
 
         // Explicit part of the right-hand side.
         laplacian(&u, d_over_dx2, &mut lap);
-        reaction(t_now, &u, &mut f_now);
-        let rhs: Vec<f64> = (0..n)
-            .map(|j| u[j] + dt * (1.0 - theta) * (lap[j] + f_now[j]))
-            .collect();
+        for j in 0..n {
+            let f = r_now * u[j] * (1.0 - u[j] / k);
+            rhs[j] = u[j] + explicit_weight * (lap[j] + f);
+        }
 
         // Newton solve for: v − dt·θ·(Lap v + f(t_next, v)) = rhs.
-        let mut v = u.clone();
+        v.copy_from_slice(&u);
+        let mut res = residual(&v, r_next, &rhs, &mut lap, &mut g);
         let mut converged = false;
-        let r_next = growth.rate(t_next);
-        for _ in 0..30 {
-            laplacian(&v, d_over_dx2, &mut lap);
-            reaction(t_next, &v, &mut f_next);
-            let g: Vec<f64> = (0..n)
-                .map(|j| v[j] - dt * theta * (lap[j] + f_next[j]) - rhs[j])
-                .collect();
-            let res = g.iter().map(|x| x.abs()).fold(0.0, f64::max);
-            if res < 1e-11 {
+        for _ in 0..NEWTON_ITERATIONS {
+            if res < NEWTON_TOLERANCE {
                 converged = true;
                 break;
             }
-            // Tridiagonal Jacobian of G.
-            let a = dt * theta * d_over_dx2;
-            let mut sub = vec![-a; n - 1];
-            let mut sup = vec![-a; n - 1];
-            sup[0] = -2.0 * a; // ghost-node reflection doubles the boundary coupling
-            sub[n - 2] = -2.0 * a;
-            // Laplacian diagonal is −2a at every node (boundary rows differ
-            // only in their off-diagonal, doubled by ghost reflection).
-            let diag: Vec<f64> = (0..n)
-                .map(|j| {
-                    let fprime = r_next * (1.0 - 2.0 * v[j] / k);
-                    1.0 + 2.0 * a - dt * theta * fprime
-                })
-                .collect();
-            let delta = match solve_thomas(&sub, &diag, &sup, &g) {
-                Ok(d) => d,
-                Err(_) => {
-                    // Fall back to the pivoted solver on breakdown.
-                    TridiagonalMatrix::new(sub.clone(), diag.clone(), sup.clone())?.solve(&g)?
-                }
-            };
-            // Damped update.
+            for j in 0..n {
+                let fprime = r_next * (1.0 - 2.0 * v[j] / k);
+                diag[j] = diag_base - implicit_weight * fprime;
+            }
+            solve_tridiagonal_into(&sub, &diag, &sup, &g, &mut c_scratch, &mut delta)?;
+            // Damped update. `g` is free once `delta` is solved, so each
+            // trial writes its residual there: the accepted trial's is the
+            // next iteration's.
             let mut lambda = 1.0;
             let mut accepted = false;
             for _ in 0..6 {
-                let trial: Vec<f64> = (0..n).map(|j| v[j] - lambda * delta[j]).collect();
-                laplacian(&trial, d_over_dx2, &mut lap);
-                reaction(t_next, &trial, &mut f_next);
-                let trial_res = (0..n)
-                    .map(|j| (trial[j] - dt * theta * (lap[j] + f_next[j]) - rhs[j]).abs())
-                    .fold(0.0, f64::max);
+                for j in 0..n {
+                    trial[j] = v[j] - lambda * delta[j];
+                }
+                let trial_res = residual(&trial, r_next, &rhs, &mut lap, &mut g);
                 if trial_res.is_finite() && trial_res < res {
-                    v = trial;
+                    std::mem::swap(&mut v, &mut trial);
+                    res = trial_res;
                     accepted = true;
                     break;
                 }
@@ -421,18 +440,19 @@ fn solve_implicit(
                 for j in 0..n {
                     v[j] -= delta[j];
                 }
+                res = residual(&v, r_next, &rhs, &mut lap, &mut g);
             }
         }
         if !converged {
             return Err(DlError::Numerics(
                 dlm_numerics::NumericsError::NoConvergence {
                     algorithm: "crank-nicolson newton",
-                    iterations: 30,
-                    residual: f64::NAN,
+                    iterations: NEWTON_ITERATIONS,
+                    residual: res,
                 },
             ));
         }
-        u = v;
+        std::mem::swap(&mut u, &mut v);
         times.push(t_next);
         values.push(u.clone());
     }
@@ -748,5 +768,34 @@ mod tests {
         let first = rel_spread(&sol.values()[0]);
         let last = rel_spread(sol.values().last().unwrap());
         assert!(last < first, "{last} !< {first}");
+    }
+
+    #[test]
+    fn non_convergence_reports_the_last_residual() {
+        // An absurd step with huge d and r: the residual stalls at the
+        // round-off floor of million-scale terms, far above the tolerance.
+        let p = DlParameters::new(1e6, 25.0, 1.0, 6.0).unwrap();
+        let phi = phi(&p);
+        let config = SolverConfig {
+            space_intervals: 20,
+            dt: 1e3,
+            ..SolverConfig::default()
+        };
+        let err = solve(&p, &ConstantGrowth::new(1e6), &phi, 1.0, 1001.0, &config).unwrap_err();
+        match err {
+            DlError::Numerics(dlm_numerics::NumericsError::NoConvergence {
+                algorithm,
+                iterations,
+                residual,
+            }) => {
+                assert_eq!(algorithm, "crank-nicolson newton");
+                assert_eq!(iterations, NEWTON_ITERATIONS);
+                assert!(
+                    residual.is_finite() && residual >= NEWTON_TOLERANCE,
+                    "residual {residual}"
+                );
+            }
+            other => panic!("expected NoConvergence, got {other:?}"),
+        }
     }
 }

@@ -23,11 +23,12 @@ use crate::growth::ExpDecayGrowth;
 use crate::initial::InitialDensity;
 use crate::model::Prediction;
 use crate::params::DlParameters;
+use crate::pde::{NEWTON_ITERATIONS, NEWTON_TOLERANCE};
 use crate::predict::FitConfig;
 use dlm_cascade::DensityMatrix;
 use dlm_numerics::interp::LinearInterp;
 use dlm_numerics::optimize::{multi_start_nelder_mead, MultiStartConfig, NelderMeadConfig};
-use dlm_numerics::tridiag::solve_thomas;
+use dlm_numerics::tridiag::solve_tridiagonal_into;
 use std::fmt;
 use std::sync::Arc;
 
@@ -38,6 +39,15 @@ use std::sync::Arc;
 pub trait SpatialField: fmt::Debug + Send + Sync {
     /// Evaluates the field at `(x, t)`.
     fn value(&self, x: f64, t: f64) -> f64;
+
+    /// Evaluates the field at every node `xs[j]` at time `t` into
+    /// `out[j]`. Overrides hoist the time-dependent part out of the node
+    /// loop but must equal per-node [`SpatialField::value`] bit for bit.
+    fn fill(&self, xs: &[f64], t: f64, out: &mut [f64]) {
+        for (o, &x) in out.iter_mut().zip(xs) {
+            *o = self.value(x, t);
+        }
+    }
 }
 
 /// A constant field.
@@ -123,16 +133,41 @@ impl PerDistanceGrowth {
     pub fn curves(&self) -> &[ExpDecayGrowth] {
         &self.curves
     }
+
+    /// The curves blended at `x` and the weight of the right one.
+    fn bracket(&self, x: f64) -> (usize, usize, f64) {
+        let pos = (x - self.lower).max(0.0);
+        let i = (pos.floor() as usize).min(self.curves.len() - 1);
+        let j = (i + 1).min(self.curves.len() - 1);
+        let w = (pos - i as f64).clamp(0.0, 1.0);
+        (i, j, w)
+    }
 }
 
 impl SpatialField for PerDistanceGrowth {
     fn value(&self, x: f64, t: f64) -> f64 {
         use crate::growth::GrowthRate;
-        let pos = (x - self.lower).max(0.0);
-        let i = (pos.floor() as usize).min(self.curves.len() - 1);
-        let j = (i + 1).min(self.curves.len() - 1);
-        let w = (pos - i as f64).clamp(0.0, 1.0);
+        let (i, j, w) = self.bracket(x);
         self.curves[i].rate(t) * (1.0 - w) + self.curves[j].rate(t) * w
+    }
+
+    fn fill(&self, xs: &[f64], t: f64, out: &mut [f64]) {
+        use crate::growth::GrowthRate;
+        // Remembering the last two curves' rates means an ascending grid
+        // computes each curve's rate once, not twice per node.
+        let mut memo = [(usize::MAX, 0.0); 2];
+        let mut rate = |c: usize| {
+            if let Some(&(_, r)) = memo.iter().find(|(m, _)| *m == c) {
+                return r;
+            }
+            let r = self.curves[c].rate(t);
+            memo = [memo[1], (c, r)];
+            r
+        };
+        for (o, &x) in out.iter_mut().zip(xs) {
+            let (i, j, w) = self.bracket(x);
+            *o = rate(i) * (1.0 - w) + rate(j) * w;
+        }
     }
 }
 
@@ -335,83 +370,110 @@ impl VariableDlModel {
             }
             out[n - 1] = 2.0 * faces[n - 2] * (v[n - 2] - v[n - 1]) * inv_dx2;
         };
-        let reaction = |t: f64, v: &[f64], out: &mut [f64]| {
-            for (j, (o, &vj)) in out.iter_mut().zip(v).enumerate() {
-                let r = self.growth.value(xs[j], t);
-                let k = self.capacity.value(xs[j], t);
-                *o = r * vj * (1.0 - vj / k);
-            }
-        };
 
         let steps = ((t_end - self.initial_time) / self.dt).ceil() as usize;
         let dt = (t_end - self.initial_time) / steps as f64;
         let theta = 0.5;
+        let explicit_weight = dt * (1.0 - theta);
+        let implicit_weight = dt * theta;
+
+        // Tridiagonal Jacobian with per-face couplings: the off-diagonals
+        // and the Laplacian part of the diagonal depend only on dt·θ and
+        // the faces, so they are built once per solve.
+        let a = implicit_weight * inv_dx2;
+        let mut sub: Vec<f64> = faces.iter().map(|&f| -a * f).collect();
+        let mut sup = sub.clone();
+        sup[0] *= 2.0;
+        sub[n - 2] *= 2.0;
+        let diag_base: Vec<f64> = (0..n)
+            .map(|j| {
+                let lap_diag = if j == 0 {
+                    2.0 * faces[0]
+                } else if j == n - 1 {
+                    2.0 * faces[n - 2]
+                } else {
+                    faces[j] + faces[j - 1]
+                };
+                1.0 + a * lap_diag
+            })
+            .collect();
 
         let mut times = Vec::with_capacity(steps + 1);
         let mut values = Vec::with_capacity(steps + 1);
         times.push(self.initial_time);
         values.push(u.clone());
+
+        // Per-solve workspace: the step loop allocates nothing but the
+        // recorded rows. Growth and capacity are evaluated once per step
+        // at each end of the step.
+        let mut r_now = vec![0.0; n];
+        let mut k_now = vec![0.0; n];
+        let mut r_next = vec![0.0; n];
+        let mut k_next = vec![0.0; n];
         let mut lap_buf = vec![0.0; n];
-        let mut f_buf = vec![0.0; n];
+        let mut rhs = vec![0.0; n];
+        let mut v = vec![0.0; n];
+        let mut g = vec![0.0; n];
+        let mut diag = vec![0.0; n];
+        let mut delta = vec![0.0; n];
+        let mut c_scratch = vec![0.0; n];
+
+        // Writes G(v) = v − dt·θ·(Lap v + f(t_next, v)) − rhs into `out`
+        // and returns its max-norm.
+        let residual =
+            |v: &[f64], r: &[f64], k: &[f64], rhs: &[f64], lap_buf: &mut [f64], out: &mut [f64]| {
+                lap(v, lap_buf);
+                let mut norm = 0.0;
+                for j in 0..n {
+                    let f = r[j] * v[j] * (1.0 - v[j] / k[j]);
+                    out[j] = v[j] - implicit_weight * (lap_buf[j] + f) - rhs[j];
+                    norm = f64::max(norm, out[j].abs());
+                }
+                norm
+            };
 
         for s in 0..steps {
             let t_now = self.initial_time + s as f64 * dt;
             let t_next = t_now + dt;
-            lap(&u, &mut lap_buf);
-            reaction(t_now, &u, &mut f_buf);
-            let rhs: Vec<f64> = (0..n)
-                .map(|j| u[j] + dt * (1.0 - theta) * (lap_buf[j] + f_buf[j]))
-                .collect();
+            self.growth.fill(&xs, t_now, &mut r_now);
+            self.capacity.fill(&xs, t_now, &mut k_now);
+            self.growth.fill(&xs, t_next, &mut r_next);
+            self.capacity.fill(&xs, t_next, &mut k_next);
 
-            let mut v = u.clone();
+            lap(&u, &mut lap_buf);
+            for j in 0..n {
+                let f = r_now[j] * u[j] * (1.0 - u[j] / k_now[j]);
+                rhs[j] = u[j] + explicit_weight * (lap_buf[j] + f);
+            }
+
+            v.copy_from_slice(&u);
+            let mut res = residual(&v, &r_next, &k_next, &rhs, &mut lap_buf, &mut g);
             let mut converged = false;
-            for _ in 0..30 {
-                lap(&v, &mut lap_buf);
-                reaction(t_next, &v, &mut f_buf);
-                let g: Vec<f64> = (0..n)
-                    .map(|j| v[j] - dt * theta * (lap_buf[j] + f_buf[j]) - rhs[j])
-                    .collect();
-                let res = g.iter().map(|x| x.abs()).fold(0.0, f64::max);
-                if res < 1e-11 {
+            for _ in 0..NEWTON_ITERATIONS {
+                if res < NEWTON_TOLERANCE {
                     converged = true;
                     break;
                 }
-                // Tridiagonal Jacobian with per-face couplings.
-                let a = dt * theta * inv_dx2;
-                let mut sub: Vec<f64> = (0..n - 1).map(|j| -a * faces[j]).collect();
-                let mut sup: Vec<f64> = (0..n - 1).map(|j| -a * faces[j]).collect();
-                sup[0] *= 2.0;
-                sub[n - 2] *= 2.0;
-                let diag: Vec<f64> = (0..n)
-                    .map(|j| {
-                        let r = self.growth.value(xs[j], t_next);
-                        let k = self.capacity.value(xs[j], t_next);
-                        let fprime = r * (1.0 - 2.0 * v[j] / k);
-                        let lap_diag = if j == 0 {
-                            2.0 * faces[0]
-                        } else if j == n - 1 {
-                            2.0 * faces[n - 2]
-                        } else {
-                            faces[j] + faces[j - 1]
-                        };
-                        1.0 + a * lap_diag - dt * theta * fprime
-                    })
-                    .collect();
-                let delta = solve_thomas(&sub, &diag, &sup, &g)?;
+                for j in 0..n {
+                    let fprime = r_next[j] * (1.0 - 2.0 * v[j] / k_next[j]);
+                    diag[j] = diag_base[j] - implicit_weight * fprime;
+                }
+                solve_tridiagonal_into(&sub, &diag, &sup, &g, &mut c_scratch, &mut delta)?;
                 for j in 0..n {
                     v[j] -= delta[j];
                 }
+                res = residual(&v, &r_next, &k_next, &rhs, &mut lap_buf, &mut g);
             }
             if !converged {
                 return Err(DlError::Numerics(
                     dlm_numerics::NumericsError::NoConvergence {
                         algorithm: "variable-coefficient newton",
-                        iterations: 30,
-                        residual: f64::NAN,
+                        iterations: NEWTON_ITERATIONS,
+                        residual: res,
                     },
                 ));
             }
-            u = v;
+            std::mem::swap(&mut u, &mut v);
             times.push(t_next);
             values.push(u.clone());
         }
@@ -837,6 +899,34 @@ mod tests {
                 "distance {}: fitted trajectory {got} vs observed {want}",
                 i + 1
             );
+        }
+    }
+
+    #[test]
+    fn non_convergence_reports_the_last_residual() {
+        // An absurd step with huge d and r: the residual stalls at the
+        // round-off floor of million-scale terms, far above the tolerance.
+        let model = VariableDlModelBuilder::new(1.0, 6.0)
+            .unwrap()
+            .diffusion(ConstantField(1e6))
+            .growth(ConstantField(1e6))
+            .resolution(20, 1e3)
+            .build(&OBS)
+            .unwrap();
+        match model.solve_until(1001.0).unwrap_err() {
+            DlError::Numerics(dlm_numerics::NumericsError::NoConvergence {
+                algorithm,
+                iterations,
+                residual,
+            }) => {
+                assert_eq!(algorithm, "variable-coefficient newton");
+                assert_eq!(iterations, NEWTON_ITERATIONS);
+                assert!(
+                    residual.is_finite() && residual >= NEWTON_TOLERANCE,
+                    "residual {residual}"
+                );
+            }
+            other => panic!("expected NoConvergence, got {other:?}"),
         }
     }
 }

@@ -9,11 +9,24 @@ use dlm_core::initial::{InitialDensity, PhiConstruction};
 use dlm_core::model::DlModelBuilder;
 use dlm_core::params::DlParameters;
 use dlm_core::pde::{solve, SolverConfig, SolverMethod};
+use dlm_core::variable::{
+    ConstantField, PerDistanceGrowth, SeparableField, SpatialField, TimeOnlyField,
+};
 use proptest::prelude::*;
 
 /// Random positive density profiles bounded well below K = 25.
 fn profiles() -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(0.05f64..8.0, 4..8)
+}
+
+/// `field.fill` against per-node `field.value`, compared bit for bit, with
+/// the output buffer prefilled with NaN so stale contents cannot pass.
+fn fill_matches_value(field: &dyn SpatialField, xs: &[f64], t: f64) -> bool {
+    let mut out = vec![f64::NAN; xs.len()];
+    field.fill(xs, t, &mut out);
+    xs.iter()
+        .zip(&out)
+        .all(|(&x, o)| o.to_bits() == field.value(x, t).to_bits())
 }
 
 proptest! {
@@ -130,5 +143,36 @@ proptest! {
         let s50 = solve(&params50, &growth, &phi50, 1.0, 60.0, &SolverConfig { dt: 0.05, ..SolverConfig::default() }).unwrap();
         prop_assert!(s50.max_value() > s25.max_value());
         prop_assert!(s25.max_value() <= 25.0 + 1e-6);
+    }
+
+    #[test]
+    fn spatial_field_fill_matches_value_bitwise(
+        grid in prop::collection::vec(-1.0f64..9.0, 1..60),
+        t in 0.5f64..30.0,
+        curve in (0.0f64..3.0, 0.0f64..2.0, 0.0f64..1.0),
+        scales in prop::collection::vec(0.1f64..2.0, 6),
+        ascending in any::<bool>(),
+    ) {
+        // Solver grids ascend; arbitrary orders must agree too.
+        let mut xs = grid;
+        if ascending {
+            xs.sort_by(f64::total_cmp);
+        }
+        let (a, b, c) = curve;
+        let exp = ExpDecayGrowth::new(a, b, c);
+        let knots: Vec<f64> = (1..=6).map(f64::from).collect();
+        let curves: Vec<ExpDecayGrowth> = scales
+            .iter()
+            .map(|&s| ExpDecayGrowth::new(a * s, b / s, c * s))
+            .collect();
+        let fields: [Box<dyn SpatialField>; 4] = [
+            Box::new(ConstantField(a + c)),
+            Box::new(TimeOnlyField(exp)),
+            Box::new(SeparableField::new(&knots, &scales, exp).unwrap()),
+            Box::new(PerDistanceGrowth::new(1.0, curves).unwrap()),
+        ];
+        for field in &fields {
+            prop_assert!(fill_matches_value(field.as_ref(), &xs, t), "{:?}", field);
+        }
     }
 }

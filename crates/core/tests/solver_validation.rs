@@ -5,7 +5,9 @@
 use dlm_core::growth::ExpDecayGrowth;
 use dlm_core::initial::{InitialDensity, PhiConstruction};
 use dlm_core::params::DlParameters;
-use dlm_core::pde::{solve, SolverConfig, SolverMethod};
+use dlm_core::pde::{solve, PdeSolution, SolverConfig, SolverMethod};
+use dlm_core::predict::{Observation, PredictionRequest};
+use dlm_core::registry::{ModelRegistry, ModelSpec};
 use dlm_core::variable::{ConstantField, TimeOnlyField, VariableDlModelBuilder};
 use dlm_numerics::convergence::convergence_study;
 
@@ -113,4 +115,122 @@ fn variable_solver_converges_to_classic_limit() {
         fine,
         classic.extrapolated
     );
+}
+
+/// FNV-1a over the bit patterns of a stream of floats: any change to any
+/// bit of any value changes the hash.
+fn fnv1a_bits(values: impl IntoIterator<Item = f64>) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+    for v in values {
+        for byte in v.to_bits().to_le_bytes() {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    hash
+}
+
+fn solution_hash(sol: &PdeSolution) -> u64 {
+    fnv1a_bits(
+        sol.times()
+            .iter()
+            .chain(sol.values().iter().flatten())
+            .copied(),
+    )
+}
+
+/// (space intervals, dt, t_end) of the pinned reference solves.
+const PINNED_SETTINGS: [(usize, f64, f64); 4] = [
+    (100, 0.01, 6.0),
+    (100, 0.01, 8.0),
+    (50, 0.02, 3.0),
+    (200, 0.005, 5.0),
+];
+
+/// The bits each implicit method produced on [`PINNED_SETTINGS`] when
+/// these hashes were taken. A stepper rewrite that reorders a single
+/// floating-point operation breaks one of them; a deliberate numeric
+/// re-baseline must update them and say so.
+const PINNED_SOLVES: [(SolverMethod, [u64; 4]); 2] = [
+    (
+        SolverMethod::CrankNicolson,
+        [
+            0x64df_3fa1_ebd6_3045,
+            0xf57b_5a48_e206_e58e,
+            0x4a57_8ff0_b0e9_f0cf,
+            0x94b4_2caf_7e92_4714,
+        ],
+    ),
+    (
+        SolverMethod::BackwardEuler,
+        [
+            0x7081_2d1f_0645_f1cf,
+            0x7940_9346_c52a_86ea,
+            0x28a7_1ea3_008b_65c3,
+            0xceb4_53d2_042c_c199,
+        ],
+    ),
+];
+
+#[test]
+fn implicit_solves_are_bit_stable() {
+    let params = DlParameters::paper_hops(6).unwrap();
+    let phi =
+        InitialDensity::from_observations(&params, &OBS, PhiConstruction::SplineFlat).unwrap();
+    let growth = ExpDecayGrowth::paper_hops();
+    for (method, hashes) in PINNED_SOLVES {
+        for ((space_intervals, dt, t_end), pinned) in PINNED_SETTINGS.into_iter().zip(hashes) {
+            let config = SolverConfig {
+                method,
+                space_intervals,
+                dt,
+            };
+            let sol = solve(&params, &growth, &phi, 1.0, t_end, &config).unwrap();
+            let hash = solution_hash(&sol);
+            assert_eq!(
+                hash, pinned,
+                "{method:?} intervals={space_intervals} dt={dt} t_end={t_end}: {hash:#018x}"
+            );
+        }
+    }
+}
+
+/// Three observed hours over six distances, shaped like a Digg cascade.
+fn pinned_observation() -> Observation {
+    Observation::new(
+        vec![1, 2, 3],
+        vec![
+            vec![2.1, 0.7, 0.9, 0.5, 0.3, 0.2],
+            vec![4.0, 1.5, 1.6, 0.9, 0.5, 0.3],
+            vec![6.2, 2.4, 2.3, 1.3, 0.7, 0.4],
+        ],
+    )
+    .unwrap()
+}
+
+#[test]
+fn served_lineup_fits_are_bit_stable() {
+    let registry = ModelRegistry::with_builtins();
+    let observation = pinned_observation();
+
+    let spec: ModelSpec = "variable-dl(perdist=true)".parse().unwrap();
+    let fitted = registry.build(&spec).unwrap().fit(&observation).unwrap();
+    let distances: Vec<u32> = (1..=6).collect();
+    let hours: Vec<u32> = (1..=6).collect();
+    let request = PredictionRequest::new(distances.clone(), hours.clone()).unwrap();
+    let prediction = fitted.predict(&request).unwrap();
+    let values = distances
+        .iter()
+        .flat_map(|&d| hours.iter().map(move |&h| (d, h)))
+        .map(|(d, h)| prediction.at(d, h).unwrap());
+    let hash = fnv1a_bits(fitted.params().into_iter().chain(values));
+    assert_eq!(
+        hash, 0x3aca_dc53_ba95_07a8,
+        "variable-dl(perdist=true): {hash:#018x}"
+    );
+
+    let spec: ModelSpec = "dl-cal".parse().unwrap();
+    let fitted = registry.build(&spec).unwrap().fit(&observation).unwrap();
+    let hash = fnv1a_bits(fitted.params());
+    assert_eq!(hash, 0x9bfc_9837_8a9a_62f8, "dl-cal: {hash:#018x}");
 }

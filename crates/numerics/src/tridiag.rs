@@ -10,6 +10,10 @@
 //! * [`TridiagonalMatrix::solve`] — LU with partial pivoting specialised to
 //!   banded storage, stable for any nonsingular tridiagonal system at the
 //!   cost of one extra superdiagonal of fill-in.
+//!
+//! [`solve_thomas_into`] runs the Thomas algorithm over caller-owned
+//! buffers, and [`solve_tridiagonal_into`] adds the pivoted fallback on
+//! breakdown: the allocation-free path the implicit PDE steppers use.
 
 use crate::error::{NumericsError, Result};
 
@@ -243,6 +247,8 @@ impl TridiagonalMatrix {
 /// right-hand side. O(n) time, O(n) scratch. The Thomas algorithm is stable
 /// when the matrix is diagonally dominant or symmetric positive definite —
 /// both hold for the Crank–Nicolson matrices produced by `dlm-core`.
+/// Allocates its scratch and result; [`solve_thomas_into`] is the same
+/// algorithm over caller-owned buffers.
 ///
 /// # Errors
 ///
@@ -263,6 +269,33 @@ impl TridiagonalMatrix {
 /// ```
 pub fn solve_thomas(sub: &[f64], diag: &[f64], sup: &[f64], rhs: &[f64]) -> Result<Vec<f64>> {
     let n = diag.len();
+    let mut c_scratch = vec![0.0; n];
+    let mut x = vec![0.0; n];
+    solve_thomas_into(sub, diag, sup, rhs, &mut c_scratch, &mut x)?;
+    Ok(x)
+}
+
+/// The Thomas algorithm of [`solve_thomas`] over caller-owned buffers:
+/// writes the solution into `out` and uses `c_scratch` for the modified
+/// superdiagonal, so a solver calling it in a loop allocates nothing.
+/// Both buffers need length `n`; their prior contents are never read.
+/// The result is bit-identical to [`solve_thomas`].
+///
+/// # Errors
+///
+/// * [`NumericsError::DimensionMismatch`] on inconsistent lengths,
+///   buffers included.
+/// * [`NumericsError::SingularMatrix`] if elimination hits a zero pivot;
+///   `out` then holds partial elimination results.
+pub fn solve_thomas_into(
+    sub: &[f64],
+    diag: &[f64],
+    sup: &[f64],
+    rhs: &[f64],
+    c_scratch: &mut [f64],
+    out: &mut [f64],
+) -> Result<()> {
+    let n = diag.len();
     if n == 0 {
         return Err(NumericsError::DimensionMismatch {
             expected: "n >= 1".into(),
@@ -275,39 +308,73 @@ pub fn solve_thomas(sub: &[f64], diag: &[f64], sup: &[f64], rhs: &[f64]) -> Resu
             actual: sub.len().max(sup.len()),
         });
     }
-    if rhs.len() != n {
-        return Err(NumericsError::DimensionMismatch {
-            expected: format!("rhs length {n}"),
-            actual: rhs.len(),
-        });
+    for (name, len) in [
+        ("rhs", rhs.len()),
+        ("c_scratch", c_scratch.len()),
+        ("out", out.len()),
+    ] {
+        if len != n {
+            return Err(NumericsError::DimensionMismatch {
+                expected: format!("{name} length {n}"),
+                actual: len,
+            });
+        }
     }
 
-    let mut c_star = vec![0.0; n];
-    let mut d_star = vec![0.0; n];
-
+    // `out` holds the modified right-hand side d*, then the solution.
     if diag[0] == 0.0 {
         return Err(NumericsError::SingularMatrix { pivot: 0 });
     }
-    c_star[0] = if n > 1 { sup[0] / diag[0] } else { 0.0 };
-    d_star[0] = rhs[0] / diag[0];
+    c_scratch[0] = if n > 1 { sup[0] / diag[0] } else { 0.0 };
+    out[0] = rhs[0] / diag[0];
 
     for i in 1..n {
-        let denom = diag[i] - sub[i - 1] * c_star[i - 1];
+        let denom = diag[i] - sub[i - 1] * c_scratch[i - 1];
         if denom == 0.0 {
             return Err(NumericsError::SingularMatrix { pivot: i });
         }
         if i + 1 < n {
-            c_star[i] = sup[i] / denom;
+            c_scratch[i] = sup[i] / denom;
         }
-        d_star[i] = (rhs[i] - sub[i - 1] * d_star[i - 1]) / denom;
+        out[i] = (rhs[i] - sub[i - 1] * out[i - 1]) / denom;
     }
 
-    let mut x = d_star;
     for i in (0..n - 1).rev() {
-        let next = x[i + 1];
-        x[i] -= c_star[i] * next;
+        let next = out[i + 1];
+        out[i] -= c_scratch[i] * next;
     }
-    Ok(x)
+    Ok(())
+}
+
+/// [`solve_thomas_into`], falling back to [`TridiagonalMatrix::solve`]
+/// (pivoted LU) when Thomas elimination breaks down on a zero pivot. The
+/// implicit PDE steppers solve every Newton system through this one path:
+/// Thomas on the (normally diagonally dominant) Jacobian, pivoted LU
+/// only on breakdown, which allocates.
+///
+/// # Errors
+///
+/// * [`NumericsError::DimensionMismatch`] on inconsistent lengths.
+/// * [`NumericsError::NonFiniteValue`] if the fallback meets a non-finite
+///   entry, and [`NumericsError::SingularMatrix`] if the matrix is
+///   singular under pivoting too.
+pub fn solve_tridiagonal_into(
+    sub: &[f64],
+    diag: &[f64],
+    sup: &[f64],
+    rhs: &[f64],
+    c_scratch: &mut [f64],
+    out: &mut [f64],
+) -> Result<()> {
+    match solve_thomas_into(sub, diag, sup, rhs, c_scratch, out) {
+        Err(NumericsError::SingularMatrix { .. }) => {
+            let x =
+                TridiagonalMatrix::new(sub.to_vec(), diag.to_vec(), sup.to_vec())?.solve(rhs)?;
+            out.copy_from_slice(&x);
+            Ok(())
+        }
+        other => other,
+    }
 }
 
 #[cfg(test)]
@@ -388,6 +455,45 @@ mod tests {
         assert!(solve_thomas(m.sub(), m.diag(), m.sup(), &rhs).is_err());
         let x = m.solve(&rhs).unwrap();
         assert!(residual_inf(&m, &x, &rhs) < 1e-12);
+    }
+
+    #[test]
+    fn into_solve_rejects_short_buffers() {
+        let (sub, diag, sup, rhs) = ([1.0], [2.0, 2.0], [1.0], [3.0, 3.0]);
+        let mut c = [0.0; 2];
+        let mut out = [0.0; 1];
+        let err = solve_thomas_into(&sub, &diag, &sup, &rhs, &mut c, &mut out).unwrap_err();
+        assert!(matches!(err, NumericsError::DimensionMismatch { .. }));
+        let mut c = [0.0; 1];
+        let mut out = [0.0; 2];
+        let err = solve_thomas_into(&sub, &diag, &sup, &rhs, &mut c, &mut out).unwrap_err();
+        assert!(matches!(err, NumericsError::DimensionMismatch { .. }));
+    }
+
+    #[test]
+    fn tridiagonal_into_falls_back_to_pivoting_on_zero_pivot() {
+        // Thomas breaks down at pivot 0; the helper must still solve it.
+        let m =
+            TridiagonalMatrix::new(vec![1.0, 1.0], vec![0.0, 1.0, 2.0], vec![1.0, 1.0]).unwrap();
+        let rhs = [1.0, 2.0, 3.0];
+        let mut c = [f64::NAN; 3];
+        let mut out = [f64::NAN; 3];
+        assert!(matches!(
+            solve_thomas_into(m.sub(), m.diag(), m.sup(), &rhs, &mut c, &mut out).unwrap_err(),
+            NumericsError::SingularMatrix { pivot: 0 }
+        ));
+        solve_tridiagonal_into(m.sub(), m.diag(), m.sup(), &rhs, &mut c, &mut out).unwrap();
+        assert_eq!(out.to_vec(), m.solve(&rhs).unwrap());
+        assert!(residual_inf(&m, &out, &rhs) < 1e-12);
+    }
+
+    #[test]
+    fn tridiagonal_into_reports_singular_systems() {
+        let (sub, diag, sup) = ([0.0], [0.0, 1.0], [0.0]);
+        let mut c = [0.0; 2];
+        let mut out = [0.0; 2];
+        let err = solve_tridiagonal_into(&sub, &diag, &sup, &[1.0, 1.0], &mut c, &mut out);
+        assert!(matches!(err, Err(NumericsError::SingularMatrix { .. })));
     }
 
     #[test]

@@ -11,7 +11,7 @@ use dlm_numerics::quadrature::trapezoid;
 use dlm_numerics::rootfind::{brent, RootConfig};
 use dlm_numerics::spline::{CubicSpline, Pchip};
 use dlm_numerics::stats::{mean, prediction_accuracy, std_dev};
-use dlm_numerics::tridiag::{solve_thomas, TridiagonalMatrix};
+use dlm_numerics::tridiag::{solve_thomas, solve_thomas_into, TridiagonalMatrix};
 use proptest::prelude::*;
 
 /// Strictly increasing knot vector with values in a tame range.
@@ -51,6 +51,30 @@ proptest! {
         let ax = m.mul_vec(&x).unwrap();
         let res = ax.iter().zip(&rhs).map(|(a, b)| (a - b).abs()).fold(0.0, f64::max);
         prop_assert!(res < 1e-8, "residual {res}");
+    }
+
+    #[test]
+    fn thomas_into_ignores_stale_workspace(
+        n in 1usize..40,
+        seed in any::<u64>(),
+    ) {
+        // NaN-prefilled scratch and output must not leak into the result:
+        // the in-place solve equals the allocating one bit for bit.
+        let mut s = seed;
+        let mut next = move || {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((s >> 33) as f64) / ((1u64 << 31) as f64) - 0.5
+        };
+        let sub: Vec<f64> = (0..n - 1).map(|_| next()).collect();
+        let sup: Vec<f64> = (0..n - 1).map(|_| next()).collect();
+        let diag: Vec<f64> = (0..n).map(|_| next() + 3.0).collect();
+        let rhs: Vec<f64> = (0..n).map(|_| next() * 5.0).collect();
+        let mut c_scratch = vec![f64::NAN; n];
+        let mut out = vec![f64::NAN; n];
+        solve_thomas_into(&sub, &diag, &sup, &rhs, &mut c_scratch, &mut out).unwrap();
+        let x = solve_thomas(&sub, &diag, &sup, &rhs).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&out), bits(&x));
     }
 
     #[test]
