@@ -1,5 +1,6 @@
 //! Criterion benches for the numerical core: the PDE time-stepper
-//! ablation (DESIGN.md: Crank–Nicolson vs explicit method-of-lines) and
+//! ablation (Crank–Nicolson vs explicit method-of-lines, see the
+//! `dlm_core::pde` module docs), the variable-coefficient model and
 //! the underlying kernels (tridiagonal solve, spline construction,
 //! Nelder–Mead iteration cost).
 

@@ -419,7 +419,7 @@ fn trim_dead_groups(matrix: &DensityMatrix) -> Result<DensityMatrix> {
 }
 
 // ---------------------------------------------------------------------------
-// Baseline comparison (DESIGN.md ablation: DL vs simpler predictors)
+// Baseline comparison (ablation: DL vs simpler predictors)
 // ---------------------------------------------------------------------------
 
 /// Builds the `EvaluationCase` (matrix + graph context) for one story.

@@ -2,7 +2,7 @@
 //!
 //! Reproduction harness: one entry point per table and figure of the
 //! paper's evaluation (Figures 2–7, Tables I–II), plus the baseline
-//! comparison and the ablation studies called out in DESIGN.md.
+//! comparison (DL vs simpler predictors) and the solver ablations.
 //!
 //! The [`ExperimentContext`] bundles the synthetic world and the four
 //! representative cascades so every experiment runs off the same data.

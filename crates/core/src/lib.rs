@@ -46,7 +46,8 @@
 //! * [`params`] — `d`, `K`, domain `[l, L]` (+ the paper's presets);
 //! * [`growth`] — `r(t)` families, incl. Eq. 7 / Figure 6;
 //! * [`initial`] — φ construction per §II.D (flat-ended cubic spline);
-//! * [`pde`] — Crank–Nicolson / backward-Euler / method-of-lines solvers;
+//! * [`pde`] — Eq. 4 solvers: one θ-stepper (Crank–Nicolson / backward
+//!   Euler, also behind [`variable`]) and method-of-lines cross-checks;
 //! * [`model`] — the [`model::DlModel`] facade: observe → solve → predict;
 //! * [`accuracy`] — Eq.-8 accuracy tables (Tables I and II);
 //! * [`calibrate`] — automated parameter fitting (the paper's future work);

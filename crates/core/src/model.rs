@@ -143,6 +143,47 @@ pub struct Prediction {
 }
 
 impl Prediction {
+    /// Solves to the latest requested hour with `solve_until` and reads
+    /// `I(d, h)` off the solution at every distance × hour pair: the
+    /// readout behind [`DlModel::predict`] and
+    /// [`crate::variable::VariableDlModel::predict`].
+    pub(crate) fn solve_and_read(
+        initial_time: f64,
+        distances: &[u32],
+        hours: &[u32],
+        solve_until: impl FnOnce(f64) -> Result<PdeSolution>,
+    ) -> Result<Self> {
+        if distances.is_empty() || hours.is_empty() {
+            return Err(DlError::InvalidParameter {
+                name: "distances/hours",
+                reason: "must be nonempty".into(),
+            });
+        }
+        let t_max = f64::from(*hours.iter().max().expect("nonempty"));
+        if t_max <= initial_time {
+            return Err(DlError::InvalidParameter {
+                name: "hours",
+                reason: format!(
+                    "latest requested hour {t_max} must exceed the initial time {initial_time}"
+                ),
+            });
+        }
+        let solution = solve_until(t_max)?;
+        let mut values = Vec::with_capacity(distances.len());
+        for &d in distances {
+            let mut row = Vec::with_capacity(hours.len());
+            for &h in hours {
+                row.push(solution.value_at(f64::from(d), f64::from(h))?);
+            }
+            values.push(row);
+        }
+        Ok(Self {
+            distances: distances.to_vec(),
+            hours: hours.to_vec(),
+            values,
+        })
+    }
+
     /// Assembles a prediction from raw values: `values[di][hi]` is the
     /// density predicted for `distances[di]` at `hours[hi]`. Used by the
     /// baseline predictors in [`crate::baselines`].
@@ -314,36 +355,7 @@ impl DlModel {
     /// * [`DlError::OutOfDomain`] — a distance outside `[l, L]`.
     /// * Propagates solver errors.
     pub fn predict(&self, distances: &[u32], hours: &[u32]) -> Result<Prediction> {
-        if distances.is_empty() || hours.is_empty() {
-            return Err(DlError::InvalidParameter {
-                name: "distances/hours",
-                reason: "must be nonempty".into(),
-            });
-        }
-        let t_max = f64::from(*hours.iter().max().expect("nonempty"));
-        if t_max <= self.initial_time {
-            return Err(DlError::InvalidParameter {
-                name: "hours",
-                reason: format!(
-                    "latest requested hour {t_max} must exceed the initial time {}",
-                    self.initial_time
-                ),
-            });
-        }
-        let solution = self.solve_until(t_max)?;
-        let mut values = Vec::with_capacity(distances.len());
-        for &d in distances {
-            let mut row = Vec::with_capacity(hours.len());
-            for &h in hours {
-                row.push(solution.value_at(f64::from(d), f64::from(h))?);
-            }
-            values.push(row);
-        }
-        Ok(Prediction {
-            distances: distances.to_vec(),
-            hours: hours.to_vec(),
-            values,
-        })
+        Prediction::solve_and_read(self.initial_time, distances, hours, |t| self.solve_until(t))
     }
 }
 

@@ -19,12 +19,18 @@
 //!   method-of-lines via [`dlm_numerics::ode`]; used to cross-validate the
 //!   implicit schemes (see the `pde_solvers` ablation bench).
 //!
-//! The implicit steppers here and in [`crate::variable`] allocate their
-//! workspace once per solve and evaluate coefficients once per step, so
-//! the step loop allocates nothing but the recorded rows. Their output is
-//! pinned bit for bit: `tests/solver_validation.rs` hashes every time and
-//! value bit of reference solves and of served-lineup fits, and a stepper
-//! change that moves any bit must re-baseline those hashes deliberately.
+//! Both implicit schemes, and the §V variable-coefficient model in
+//! [`crate::variable`], run through one θ-stepper. It takes the Laplacian
+//! in one of two floating-point forms: `d/Δx²` times the standard stencil
+//! for Eq. 4, or conservative face diffusivities `d_{j+1/2}` for §V. It
+//! is generic over how growth and capacity are stored: one scalar for
+//! Eq. 4, one value per node for §V. The stepper allocates its workspace
+//! once per solve and evaluates coefficients once per step, so the step
+//! loop allocates nothing but the recorded rows. Its output is pinned bit
+//! for bit: `tests/solver_validation.rs` hashes every time and value bit
+//! of reference solves of both models and of served-lineup fits, and a
+//! stepper change that moves any bit must re-baseline those hashes
+//! deliberately.
 
 use crate::error::{DlError, Result};
 use crate::growth::GrowthRate;
@@ -79,29 +85,6 @@ pub struct PdeSolution {
 }
 
 impl PdeSolution {
-    /// Assembles a solution from raw parts — used by the
-    /// variable-coefficient solver in [`crate::variable`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DlError::InvalidParameter`] for empty/ragged inputs or a
-    /// time/grid mismatch.
-    pub fn from_parts(xs: Vec<f64>, times: Vec<f64>, values: Vec<Vec<f64>>) -> Result<Self> {
-        if xs.len() < 2 || times.is_empty() {
-            return Err(DlError::InvalidParameter {
-                name: "solution parts",
-                reason: "need at least 2 grid points and 1 time".into(),
-            });
-        }
-        if values.len() != times.len() || values.iter().any(|row| row.len() != xs.len()) {
-            return Err(DlError::InvalidParameter {
-                name: "values",
-                reason: format!("need {} rows of {} values", times.len(), xs.len()),
-            });
-        }
-        Ok(Self { xs, times, values })
-    }
-
     /// Grid abscissae.
     #[must_use]
     pub fn grid(&self) -> &[f64] {
@@ -207,34 +190,23 @@ impl PdeSolution {
     }
 }
 
-/// Applies the Neumann-closed Laplacian: `out = d·D₂·u`.
-fn laplacian(u: &[f64], d_over_dx2: f64, out: &mut [f64]) {
-    let n = u.len();
-    out[0] = d_over_dx2 * 2.0 * (u[1] - u[0]);
-    for j in 1..n - 1 {
-        out[j] = d_over_dx2 * (u[j - 1] - 2.0 * u[j] + u[j + 1]);
-    }
-    out[n - 1] = d_over_dx2 * 2.0 * (u[n - 2] - u[n - 1]);
-}
-
-/// Solves the DL equation from `t_start` to `t_end`, recording the field at
-/// `record_every` multiples of the time step (pass 1 to record every step).
+/// Builds the uniform grid of `config.space_intervals` intervals over
+/// `[lower, upper]` and returns it with its spacing, after checking the
+/// resolution and time span every solver in this crate needs.
 ///
 /// # Errors
 ///
-/// * [`DlError::InvalidParameter`] — degenerate config (no intervals,
-///   non-positive `dt`, `t_end ≤ t_start`).
-/// * Propagates Newton/tridiagonal failures from the implicit schemes and
-///   integrator failures from the explicit ones.
-pub fn solve(
-    params: &DlParameters,
-    growth: &dyn GrowthRate,
-    phi: &InitialDensity,
+/// [`DlError::InvalidParameter`] for fewer than 2 intervals, a
+/// non-positive (or NaN) `dt`, or `t_end ≤ t_start`.
+pub(crate) fn grid(
+    lower: f64,
+    upper: f64,
+    config: &SolverConfig,
     t_start: f64,
     t_end: f64,
-    config: &SolverConfig,
-) -> Result<PdeSolution> {
-    if config.space_intervals < 2 {
+) -> Result<(Vec<f64>, f64)> {
+    let m = config.space_intervals;
+    if m < 2 {
         return Err(DlError::InvalidParameter {
             name: "space_intervals",
             reason: "need at least 2 intervals".into(),
@@ -252,54 +224,77 @@ pub fn solve(
             reason: format!("need t_end > t_start, got [{t_start}, {t_end}]"),
         });
     }
+    let dx = (upper - lower) / m as f64;
+    Ok(((0..=m).map(|j| lower + j as f64 * dx).collect(), dx))
+}
 
-    let m = config.space_intervals;
-    let dx = params.width() / m as f64;
-    let xs: Vec<f64> = (0..=m).map(|j| params.lower() + j as f64 * dx).collect();
+/// Solves the DL equation from `t_start` to `t_end`, recording the field at
+/// every time step.
+///
+/// # Errors
+///
+/// * [`DlError::InvalidParameter`] — degenerate config (fewer than 2
+///   intervals, non-positive `dt`, `t_end ≤ t_start`).
+/// * Propagates Newton/tridiagonal failures from the implicit schemes and
+///   integrator failures from the explicit ones.
+pub fn solve(
+    params: &DlParameters,
+    growth: &dyn GrowthRate,
+    phi: &InitialDensity,
+    t_start: f64,
+    t_end: f64,
+    config: &SolverConfig,
+) -> Result<PdeSolution> {
+    let (xs, dx) = grid(params.lower(), params.upper(), config, t_start, t_end)?;
     let u0: Vec<f64> = xs.iter().map(|&x| phi.value(x)).collect();
     let d_over_dx2 = params.diffusion() / (dx * dx);
     let k = params.capacity();
-
-    match config.method {
+    let sys = MolSystem {
+        growth,
+        d_over_dx2,
+        k,
+        dim: xs.len(),
+    };
+    let traj = match config.method {
         SolverMethod::CrankNicolson | SolverMethod::BackwardEuler => {
-            solve_implicit(growth, &xs, u0, t_start, t_end, config, d_over_dx2, k)
+            // Implicit weight: CN splits the operator evenly; BE is fully
+            // implicit.
+            let theta = if config.method == SolverMethod::CrankNicolson {
+                0.5
+            } else {
+                1.0
+            };
+            return solve_theta(
+                &xs,
+                u0,
+                t_start,
+                t_end,
+                config.dt,
+                theta,
+                UniformDiffusion(d_over_dx2),
+                |t, r: &mut f64, capacity: &mut f64| {
+                    *r = growth.rate(t);
+                    *capacity = k;
+                },
+            );
         }
         SolverMethod::Rk4 => {
             let steps = ((t_end - t_start) / config.dt).ceil() as usize;
-            let sys = MolSystem {
-                growth,
-                d_over_dx2,
-                k,
-                dim: xs.len(),
-            };
-            let traj = rk4(&sys, t_start, t_end, &u0, steps.max(1))?;
-            Ok(PdeSolution {
-                xs,
-                times: traj.times().to_vec(),
-                values: traj.states().to_vec(),
-            })
+            rk4(&sys, t_start, t_end, &u0, steps.max(1))?
         }
-        SolverMethod::DormandPrince45 => {
-            let sys = MolSystem {
-                growth,
-                d_over_dx2,
-                k,
-                dim: xs.len(),
-            };
-            let solver = DormandPrince45::new(AdaptiveConfig {
-                rel_tol: 1e-8,
-                abs_tol: 1e-10,
-                initial_step: config.dt,
-                ..AdaptiveConfig::default()
-            });
-            let traj = solver.integrate(&sys, t_start, t_end, &u0)?;
-            Ok(PdeSolution {
-                xs,
-                times: traj.times().to_vec(),
-                values: traj.states().to_vec(),
-            })
-        }
-    }
+        SolverMethod::DormandPrince45 => DormandPrince45::new(AdaptiveConfig {
+            rel_tol: 1e-8,
+            abs_tol: 1e-10,
+            initial_step: config.dt,
+            ..AdaptiveConfig::default()
+        })
+        .integrate(&sys, t_start, t_end, &u0)?,
+    };
+    Ok(PdeSolution {
+        xs,
+        times: traj.times().to_vec(),
+        values: traj.states().to_vec(),
+    })
 }
 
 /// Method-of-lines right-hand side shared by the explicit steppers.
@@ -312,7 +307,7 @@ struct MolSystem<'a> {
 
 impl dlm_numerics::ode::OdeSystem for MolSystem<'_> {
     fn eval(&self, t: f64, y: &[f64], dy: &mut [f64]) {
-        laplacian(y, self.d_over_dx2, dy);
+        UniformDiffusion(self.d_over_dx2).apply(y, dy);
         let r = self.growth.rate(t);
         for (dyj, &yj) in dy.iter_mut().zip(y) {
             *dyj += r * yj * (1.0 - yj / self.k);
@@ -324,42 +319,140 @@ impl dlm_numerics::ode::OdeSystem for MolSystem<'_> {
     }
 }
 
+/// The discrete Neumann-closed Laplacian `Lap` of the θ-stepper, in the
+/// floating-point form of the model that owns it. Each form is its own
+/// type, so a stepper instance compiles only its own stencil.
+pub(crate) trait Diffusion {
+    /// `out = Lap u`, closed by ghost-node reflection at both walls.
+    fn apply(&self, u: &[f64], out: &mut [f64]);
+
+    /// For implicit weight `w = dt·θ`, the `n − 1` couplings `−w·Lap`
+    /// between neighbours and the `n` diagonal entries of `I − w·Lap`,
+    /// before ghost-node reflection doubles the two boundary couplings.
+    fn implicit_parts(&self, n: usize, w: f64) -> (Vec<f64>, Vec<f64>);
+}
+
+/// Eq. 4's constant diffusion: `d/Δx²` times the standard stencil.
+pub(crate) struct UniformDiffusion(pub(crate) f64);
+
+impl Diffusion for UniformDiffusion {
+    fn apply(&self, u: &[f64], out: &mut [f64]) {
+        let (d_over_dx2, n) = (self.0, u.len());
+        out[0] = d_over_dx2 * 2.0 * (u[1] - u[0]);
+        for j in 1..n - 1 {
+            out[j] = d_over_dx2 * (u[j - 1] - 2.0 * u[j] + u[j + 1]);
+        }
+        out[n - 1] = d_over_dx2 * 2.0 * (u[n - 2] - u[n - 1]);
+    }
+
+    fn implicit_parts(&self, n: usize, w: f64) -> (Vec<f64>, Vec<f64>) {
+        // Laplacian diagonal is −2a at every node (boundary rows differ
+        // only in their off-diagonal).
+        let a = w * self.0;
+        (vec![-a; n - 1], vec![1.0 + 2.0 * a; n])
+    }
+}
+
+/// §V's conservative finite-volume form: face diffusivities
+/// `d_{j+1/2}` and `1/Δx²`.
+pub(crate) struct FaceDiffusion<'a>(pub(crate) &'a [f64], pub(crate) f64);
+
+impl Diffusion for FaceDiffusion<'_> {
+    // Left to itself the compiler calls this stencil out of line, which
+    // costs the variable-coefficient solve about 5%.
+    #[inline(always)]
+    fn apply(&self, u: &[f64], out: &mut [f64]) {
+        let (faces, inv_dx2, n) = (self.0, self.1, u.len());
+        out[0] = 2.0 * faces[0] * (u[1] - u[0]) * inv_dx2;
+        for j in 1..n - 1 {
+            out[j] = (faces[j] * (u[j + 1] - u[j]) - faces[j - 1] * (u[j] - u[j - 1])) * inv_dx2;
+        }
+        out[n - 1] = 2.0 * faces[n - 2] * (u[n - 2] - u[n - 1]) * inv_dx2;
+    }
+
+    fn implicit_parts(&self, n: usize, w: f64) -> (Vec<f64>, Vec<f64>) {
+        let (faces, a) = (self.0, w * self.1);
+        let diag = (0..n)
+            .map(|j| {
+                let lap_diag = if j == 0 {
+                    2.0 * faces[0]
+                } else if j == n - 1 {
+                    2.0 * faces[n - 2]
+                } else {
+                    faces[j] + faces[j - 1]
+                };
+                1.0 + a * lap_diag
+            })
+            .collect();
+        (faces.iter().map(|&f| -a * f).collect(), diag)
+    }
+}
+
+/// Growth or capacity at every grid node at one time: one `f64` shared
+/// by every node for Eq. 4, one value per node for §V.
+pub(crate) trait NodeValues {
+    /// Storage for `n` nodes before the first fill.
+    fn zeros(n: usize) -> Self;
+
+    /// The value at node `j`.
+    fn at(&self, j: usize) -> f64;
+}
+
+impl NodeValues for f64 {
+    fn zeros(_n: usize) -> Self {
+        0.0
+    }
+
+    fn at(&self, _j: usize) -> f64 {
+        *self
+    }
+}
+
+impl NodeValues for Vec<f64> {
+    fn zeros(n: usize) -> Self {
+        vec![0.0; n]
+    }
+
+    fn at(&self, j: usize) -> f64 {
+        self[j]
+    }
+}
+
 /// Newton iterations per implicit step before the solve gives up.
-pub(crate) const NEWTON_ITERATIONS: usize = 30;
+const NEWTON_ITERATIONS: usize = 30;
 
 /// Max-norm Newton residual below which an implicit step is accepted.
-pub(crate) const NEWTON_TOLERANCE: f64 = 1e-11;
+const NEWTON_TOLERANCE: f64 = 1e-11;
 
+/// The θ-scheme (½: Crank–Nicolson, 1: backward Euler) for
+/// `∂I/∂t = Lap I + r·I·(1 − I/K)` on the [`grid`] `xs` from `u0` at
+/// `t_start` to `t_end`, recording every step. `reaction(t, r, k)` fills
+/// growth and capacity at `t`; each step solves its nonlinear system
+/// with damped Newton over the tridiagonal Jacobian.
 #[allow(clippy::too_many_arguments)]
-fn solve_implicit(
-    growth: &dyn GrowthRate,
+pub(crate) fn solve_theta<C: NodeValues>(
     xs: &[f64],
     u0: Vec<f64>,
     t_start: f64,
     t_end: f64,
-    config: &SolverConfig,
-    d_over_dx2: f64,
-    k: f64,
+    dt: f64,
+    theta: f64,
+    diffusion: impl Diffusion,
+    mut reaction: impl FnMut(f64, &mut C, &mut C),
 ) -> Result<PdeSolution> {
-    let crank_nicolson = config.method == SolverMethod::CrankNicolson;
     let n = xs.len();
-    let steps = ((t_end - t_start) / config.dt).ceil() as usize;
+    let steps = ((t_end - t_start) / dt).ceil() as usize;
     let dt = (t_end - t_start) / steps as f64;
-    // Implicit weight: CN splits the operator evenly; BE is fully implicit.
-    let theta = if crank_nicolson { 0.5 } else { 1.0 };
     let explicit_weight = dt * (1.0 - theta);
     let implicit_weight = dt * theta;
-
-    // The Jacobian's off-diagonals and the Laplacian part of its diagonal
-    // depend only on dt·θ·d/Δx², so they are built once per solve.
-    let a = implicit_weight * d_over_dx2;
-    let mut sub = vec![-a; n - 1];
-    let mut sup = vec![-a; n - 1];
-    sup[0] = -2.0 * a; // ghost-node reflection doubles the boundary coupling
-    sub[n - 2] = -2.0 * a;
-    // Laplacian diagonal is −2a at every node (boundary rows differ only in
-    // their off-diagonal, doubled by ghost reflection).
-    let diag_base = 1.0 + 2.0 * a;
+    // The Jacobian's off-diagonals and the Laplacian part of its
+    // diagonal are built once per solve; ghost-node reflection doubles
+    // the boundary coupling.
+    let (coupling, diag_base) = diffusion.implicit_parts(n, implicit_weight);
+    let mut sub = coupling.clone();
+    let mut sup = coupling;
+    sup[0] *= 2.0;
+    sub[n - 2] *= 2.0;
 
     let mut u = u0;
     let mut times = Vec::with_capacity(steps + 1);
@@ -369,6 +462,8 @@ fn solve_implicit(
 
     // Per-solve workspace: the step loop allocates nothing but the
     // recorded rows.
+    let (mut r_now, mut k_now) = (C::zeros(n), C::zeros(n));
+    let (mut r_next, mut k_next) = (C::zeros(n), C::zeros(n));
     let mut lap = vec![0.0; n];
     let mut rhs = vec![0.0; n];
     let mut v = vec![0.0; n];
@@ -379,12 +474,12 @@ fn solve_implicit(
     let mut c_scratch = vec![0.0; n];
 
     // Writes G(v) = v − dt·θ·(Lap v + f(t_next, v)) − rhs into `out` and
-    // returns its max-norm; `r` is the growth rate at t_next.
-    let residual = |v: &[f64], r: f64, rhs: &[f64], lap: &mut [f64], out: &mut [f64]| {
-        laplacian(v, d_over_dx2, lap);
+    // returns its max-norm; `r` and `k` are taken at t_next.
+    let residual = |v: &[f64], r: &C, k: &C, rhs: &[f64], lap: &mut [f64], out: &mut [f64]| {
+        diffusion.apply(v, lap);
         let mut norm = 0.0;
         for j in 0..n {
-            let f = r * v[j] * (1.0 - v[j] / k);
+            let f = r.at(j) * v[j] * (1.0 - v[j] / k.at(j));
             out[j] = v[j] - implicit_weight * (lap[j] + f) - rhs[j];
             norm = f64::max(norm, out[j].abs());
         }
@@ -394,19 +489,19 @@ fn solve_implicit(
     for s in 0..steps {
         let t_now = t_start + s as f64 * dt;
         let t_next = t_now + dt;
-        let r_now = growth.rate(t_now);
-        let r_next = growth.rate(t_next);
+        reaction(t_now, &mut r_now, &mut k_now);
+        reaction(t_next, &mut r_next, &mut k_next);
 
         // Explicit part of the right-hand side.
-        laplacian(&u, d_over_dx2, &mut lap);
+        diffusion.apply(&u, &mut lap);
         for j in 0..n {
-            let f = r_now * u[j] * (1.0 - u[j] / k);
+            let f = r_now.at(j) * u[j] * (1.0 - u[j] / k_now.at(j));
             rhs[j] = u[j] + explicit_weight * (lap[j] + f);
         }
 
         // Newton solve for: v − dt·θ·(Lap v + f(t_next, v)) = rhs.
         v.copy_from_slice(&u);
-        let mut res = residual(&v, r_next, &rhs, &mut lap, &mut g);
+        let mut res = residual(&v, &r_next, &k_next, &rhs, &mut lap, &mut g);
         let mut converged = false;
         for _ in 0..NEWTON_ITERATIONS {
             if res < NEWTON_TOLERANCE {
@@ -414,8 +509,8 @@ fn solve_implicit(
                 break;
             }
             for j in 0..n {
-                let fprime = r_next * (1.0 - 2.0 * v[j] / k);
-                diag[j] = diag_base - implicit_weight * fprime;
+                let fprime = r_next.at(j) * (1.0 - 2.0 * v[j] / k_next.at(j));
+                diag[j] = diag_base[j] - implicit_weight * fprime;
             }
             solve_tridiagonal_into(&sub, &diag, &sup, &g, &mut c_scratch, &mut delta)?;
             // Damped update. `g` is free once `delta` is solved, so each
@@ -427,7 +522,7 @@ fn solve_implicit(
                 for j in 0..n {
                     trial[j] = v[j] - lambda * delta[j];
                 }
-                let trial_res = residual(&trial, r_next, &rhs, &mut lap, &mut g);
+                let trial_res = residual(&trial, &r_next, &k_next, &rhs, &mut lap, &mut g);
                 if trial_res.is_finite() && trial_res < res {
                     std::mem::swap(&mut v, &mut trial);
                     res = trial_res;
@@ -440,13 +535,17 @@ fn solve_implicit(
                 for j in 0..n {
                     v[j] -= delta[j];
                 }
-                res = residual(&v, r_next, &rhs, &mut lap, &mut g);
+                res = residual(&v, &r_next, &k_next, &rhs, &mut lap, &mut g);
             }
         }
         if !converged {
             return Err(DlError::Numerics(
                 dlm_numerics::NumericsError::NoConvergence {
-                    algorithm: "crank-nicolson newton",
+                    algorithm: if theta < 1.0 {
+                        "crank-nicolson newton"
+                    } else {
+                        "backward-euler newton"
+                    },
                     iterations: NEWTON_ITERATIONS,
                     residual: res,
                 },

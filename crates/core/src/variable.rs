@@ -14,7 +14,9 @@
 //!
 //! * [`SpatialField`] — coefficient fields over `(x, t)`;
 //! * [`VariableDlModel`] — the generalized model with a conservative
-//!   finite-volume discretization of the heterogeneous diffusion term;
+//!   finite-volume discretization of the heterogeneous diffusion term,
+//!   stepped by the same θ-stepper as Eq. 4 (see [`crate::pde`]): only
+//!   the Laplacian's form and the per-node growth and capacity differ;
 //! * [`calibrate_per_distance_growth`] — fits an independent growth curve
 //!   per integer distance and assembles a piecewise-linear-in-x `r(x, t)`.
 
@@ -23,12 +25,11 @@ use crate::growth::ExpDecayGrowth;
 use crate::initial::InitialDensity;
 use crate::model::Prediction;
 use crate::params::DlParameters;
-use crate::pde::{NEWTON_ITERATIONS, NEWTON_TOLERANCE};
+use crate::pde::{grid, solve_theta, FaceDiffusion, PdeSolution, SolverConfig};
 use crate::predict::FitConfig;
 use dlm_cascade::DensityMatrix;
 use dlm_numerics::interp::LinearInterp;
 use dlm_numerics::optimize::{multi_start_nelder_mead, MultiStartConfig, NelderMeadConfig};
-use dlm_numerics::tridiag::solve_tridiagonal_into;
 use std::fmt;
 use std::sync::Arc;
 
@@ -180,8 +181,8 @@ pub struct VariableDlModel {
     capacity: Arc<dyn SpatialField>,
     phi: InitialDensity,
     initial_time: f64,
-    space_intervals: usize,
-    dt: f64,
+    /// Resolution; the method is always Crank–Nicolson.
+    solver: SolverConfig,
 }
 
 /// Builder for [`VariableDlModel`].
@@ -292,8 +293,7 @@ impl VariableDlModelBuilder {
             capacity: self.capacity,
             phi,
             initial_time: self.config.initial_time,
-            space_intervals: self.config.solver.space_intervals,
-            dt: self.config.solver.dt,
+            solver: self.config.solver,
         };
         model.validate_fields()?;
         Ok(model)
@@ -330,154 +330,37 @@ impl VariableDlModel {
         Ok(())
     }
 
-    /// Solves the generalized equation to `t_end` with a theta-scheme
-    /// (Crank–Nicolson) and a conservative face-centred discretization of
+    /// Solves the generalized equation to `t_end` with Crank–Nicolson and
+    /// a conservative face-centred discretization of
     /// `∂/∂x(d(x) ∂I/∂x)` under Neumann boundaries.
     ///
     /// # Errors
     ///
-    /// * [`DlError::InvalidParameter`] — `t_end` not after the initial
-    ///   time.
+    /// * [`DlError::InvalidParameter`] — fewer than 2 space intervals, a
+    ///   non-positive time step, or `t_end` not after the initial time.
     /// * Propagates Newton/tridiagonal failures.
-    pub fn solve_until(&self, t_end: f64) -> Result<crate::pde::PdeSolution> {
-        if !(t_end > self.initial_time) {
-            return Err(DlError::InvalidParameter {
-                name: "t_end",
-                reason: format!("must exceed initial time {}", self.initial_time),
-            });
-        }
-        let n = self.space_intervals + 1;
+    pub fn solve_until(&self, t_end: f64) -> Result<PdeSolution> {
         let (lo, hi) = self.domain;
-        let dx = (hi - lo) / self.space_intervals as f64;
-        let xs: Vec<f64> = (0..n).map(|j| lo + j as f64 * dx).collect();
-        let mut u: Vec<f64> = xs.iter().map(|&x| self.phi.value(x)).collect();
-
+        let (xs, dx) = grid(lo, hi, &self.solver, self.initial_time, t_end)?;
+        let u0 = xs.iter().map(|&x| self.phi.value(x)).collect();
         // Face-centred diffusivities d_{j+1/2}, constant in time.
-        let faces: Vec<f64> = (0..n - 1)
-            .map(|j| {
-                self.diffusion
-                    .value(0.5 * (xs[j] + xs[j + 1]), self.initial_time)
-            })
+        let faces: Vec<f64> = xs
+            .windows(2)
+            .map(|w| self.diffusion.value(0.5 * (w[0] + w[1]), self.initial_time))
             .collect();
-        let inv_dx2 = 1.0 / (dx * dx);
-
-        // Conservative Laplacian with ghost-node Neumann closure.
-        let lap = |v: &[f64], out: &mut [f64]| {
-            out[0] = 2.0 * faces[0] * (v[1] - v[0]) * inv_dx2;
-            for j in 1..n - 1 {
-                out[j] =
-                    (faces[j] * (v[j + 1] - v[j]) - faces[j - 1] * (v[j] - v[j - 1])) * inv_dx2;
-            }
-            out[n - 1] = 2.0 * faces[n - 2] * (v[n - 2] - v[n - 1]) * inv_dx2;
-        };
-
-        let steps = ((t_end - self.initial_time) / self.dt).ceil() as usize;
-        let dt = (t_end - self.initial_time) / steps as f64;
-        let theta = 0.5;
-        let explicit_weight = dt * (1.0 - theta);
-        let implicit_weight = dt * theta;
-
-        // Tridiagonal Jacobian with per-face couplings: the off-diagonals
-        // and the Laplacian part of the diagonal depend only on dt·θ and
-        // the faces, so they are built once per solve.
-        let a = implicit_weight * inv_dx2;
-        let mut sub: Vec<f64> = faces.iter().map(|&f| -a * f).collect();
-        let mut sup = sub.clone();
-        sup[0] *= 2.0;
-        sub[n - 2] *= 2.0;
-        let diag_base: Vec<f64> = (0..n)
-            .map(|j| {
-                let lap_diag = if j == 0 {
-                    2.0 * faces[0]
-                } else if j == n - 1 {
-                    2.0 * faces[n - 2]
-                } else {
-                    faces[j] + faces[j - 1]
-                };
-                1.0 + a * lap_diag
-            })
-            .collect();
-
-        let mut times = Vec::with_capacity(steps + 1);
-        let mut values = Vec::with_capacity(steps + 1);
-        times.push(self.initial_time);
-        values.push(u.clone());
-
-        // Per-solve workspace: the step loop allocates nothing but the
-        // recorded rows. Growth and capacity are evaluated once per step
-        // at each end of the step.
-        let mut r_now = vec![0.0; n];
-        let mut k_now = vec![0.0; n];
-        let mut r_next = vec![0.0; n];
-        let mut k_next = vec![0.0; n];
-        let mut lap_buf = vec![0.0; n];
-        let mut rhs = vec![0.0; n];
-        let mut v = vec![0.0; n];
-        let mut g = vec![0.0; n];
-        let mut diag = vec![0.0; n];
-        let mut delta = vec![0.0; n];
-        let mut c_scratch = vec![0.0; n];
-
-        // Writes G(v) = v − dt·θ·(Lap v + f(t_next, v)) − rhs into `out`
-        // and returns its max-norm.
-        let residual =
-            |v: &[f64], r: &[f64], k: &[f64], rhs: &[f64], lap_buf: &mut [f64], out: &mut [f64]| {
-                lap(v, lap_buf);
-                let mut norm = 0.0;
-                for j in 0..n {
-                    let f = r[j] * v[j] * (1.0 - v[j] / k[j]);
-                    out[j] = v[j] - implicit_weight * (lap_buf[j] + f) - rhs[j];
-                    norm = f64::max(norm, out[j].abs());
-                }
-                norm
-            };
-
-        for s in 0..steps {
-            let t_now = self.initial_time + s as f64 * dt;
-            let t_next = t_now + dt;
-            self.growth.fill(&xs, t_now, &mut r_now);
-            self.capacity.fill(&xs, t_now, &mut k_now);
-            self.growth.fill(&xs, t_next, &mut r_next);
-            self.capacity.fill(&xs, t_next, &mut k_next);
-
-            lap(&u, &mut lap_buf);
-            for j in 0..n {
-                let f = r_now[j] * u[j] * (1.0 - u[j] / k_now[j]);
-                rhs[j] = u[j] + explicit_weight * (lap_buf[j] + f);
-            }
-
-            v.copy_from_slice(&u);
-            let mut res = residual(&v, &r_next, &k_next, &rhs, &mut lap_buf, &mut g);
-            let mut converged = false;
-            for _ in 0..NEWTON_ITERATIONS {
-                if res < NEWTON_TOLERANCE {
-                    converged = true;
-                    break;
-                }
-                for j in 0..n {
-                    let fprime = r_next[j] * (1.0 - 2.0 * v[j] / k_next[j]);
-                    diag[j] = diag_base[j] - implicit_weight * fprime;
-                }
-                solve_tridiagonal_into(&sub, &diag, &sup, &g, &mut c_scratch, &mut delta)?;
-                for j in 0..n {
-                    v[j] -= delta[j];
-                }
-                res = residual(&v, &r_next, &k_next, &rhs, &mut lap_buf, &mut g);
-            }
-            if !converged {
-                return Err(DlError::Numerics(
-                    dlm_numerics::NumericsError::NoConvergence {
-                        algorithm: "variable-coefficient newton",
-                        iterations: NEWTON_ITERATIONS,
-                        residual: res,
-                    },
-                ));
-            }
-            std::mem::swap(&mut u, &mut v);
-            times.push(t_next);
-            values.push(u.clone());
-        }
-        crate::pde::PdeSolution::from_parts(xs, times, values)
+        solve_theta(
+            &xs,
+            u0,
+            self.initial_time,
+            t_end,
+            self.solver.dt,
+            0.5,
+            FaceDiffusion(&faces, 1.0 / (dx * dx)),
+            |t, r: &mut Vec<f64>, k: &mut Vec<f64>| {
+                self.growth.fill(&xs, t, r);
+                self.capacity.fill(&xs, t, k);
+            },
+        )
     }
 
     /// Predicts densities at integer distances and hours, like
@@ -485,25 +368,9 @@ impl VariableDlModel {
     ///
     /// # Errors
     ///
-    /// Propagates solve/interpolation errors.
+    /// Same conditions as [`crate::model::DlModel::predict`].
     pub fn predict(&self, distances: &[u32], hours: &[u32]) -> Result<Prediction> {
-        if distances.is_empty() || hours.is_empty() {
-            return Err(DlError::InvalidParameter {
-                name: "distances/hours",
-                reason: "must be nonempty".into(),
-            });
-        }
-        let t_max = f64::from(*hours.iter().max().expect("nonempty"));
-        let sol = self.solve_until(t_max)?;
-        let mut values = Vec::with_capacity(distances.len());
-        for &d in distances {
-            let mut row = Vec::with_capacity(hours.len());
-            for &h in hours {
-                row.push(sol.value_at(f64::from(d), f64::from(h))?);
-            }
-            values.push(row);
-        }
-        Prediction::from_values(distances.to_vec(), hours.to_vec(), values)
+        Prediction::solve_and_read(self.initial_time, distances, hours, |t| self.solve_until(t))
     }
 }
 
@@ -847,6 +714,27 @@ mod tests {
     }
 
     #[test]
+    fn degenerate_resolution_is_an_invalid_parameter() {
+        let builder = VariableDlModelBuilder::new(1.0, 6.0).unwrap();
+        for (space_intervals, dt) in [(0, 0.01), (1, 0.01), (10, 0.0), (10, f64::NAN), (10, -1.0)] {
+            let model = builder
+                .clone()
+                .resolution(space_intervals, dt)
+                .build(&OBS)
+                .unwrap();
+            for result in [
+                model.solve_until(6.0).map(|_| ()),
+                model.predict(&[1, 6], &[2, 6]).map(|_| ()),
+            ] {
+                assert!(
+                    matches!(result, Err(DlError::InvalidParameter { .. })),
+                    "({space_intervals}, {dt}): {result:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn calibration_rejects_single_distance() {
         let observed = DensityMatrix::from_counts(&[vec![1, 2, 3]], &[100]).unwrap();
         assert!(calibrate_per_distance_growth(&observed, 25.0, 3).is_err());
@@ -919,10 +807,11 @@ mod tests {
                 iterations,
                 residual,
             }) => {
-                assert_eq!(algorithm, "variable-coefficient newton");
-                assert_eq!(iterations, NEWTON_ITERATIONS);
+                // The θ-stepper's Newton budget and tolerance in `pde.rs`.
+                assert_eq!(algorithm, "crank-nicolson newton");
+                assert_eq!(iterations, 30);
                 assert!(
-                    residual.is_finite() && residual >= NEWTON_TOLERANCE,
+                    residual.is_finite() && residual >= 1e-11,
                     "residual {residual}"
                 );
             }

@@ -8,7 +8,10 @@ use dlm_core::params::DlParameters;
 use dlm_core::pde::{solve, PdeSolution, SolverConfig, SolverMethod};
 use dlm_core::predict::{Observation, PredictionRequest};
 use dlm_core::registry::{ModelRegistry, ModelSpec};
-use dlm_core::variable::{ConstantField, TimeOnlyField, VariableDlModelBuilder};
+use dlm_core::variable::{
+    ConstantField, PerDistanceGrowth, SeparableField, TimeOnlyField, VariableDlModel,
+    VariableDlModelBuilder,
+};
 use dlm_numerics::convergence::convergence_study;
 
 const OBS: [f64; 6] = [2.1, 0.7, 0.9, 0.5, 0.3, 0.2];
@@ -190,6 +193,95 @@ fn implicit_solves_are_bit_stable() {
             assert_eq!(
                 hash, pinned,
                 "{method:?} intervals={space_intervals} dt={dt} t_end={t_end}: {hash:#018x}"
+            );
+        }
+    }
+}
+
+/// The §V variable-coefficient model under one coefficient mix at one
+/// [`PINNED_SETTINGS`] resolution.
+fn variable_model(mix: &str, space_intervals: usize, dt: f64) -> VariableDlModel {
+    let builder = VariableDlModelBuilder::new(1.0, 6.0)
+        .unwrap()
+        .resolution(space_intervals, dt);
+    // s(x)·1: a purely spatial field through the given knots.
+    let spatial = |xs: &[f64], scales: &[f64]| {
+        SeparableField::new(xs, scales, ExpDecayGrowth::new(0.0, 0.0, 1.0)).unwrap()
+    };
+    let builder = match mix {
+        "constant" => builder
+            .diffusion(ConstantField(0.01))
+            .growth(TimeOnlyField(ExpDecayGrowth::paper_hops()))
+            .capacity(ConstantField(25.0)),
+        // Zero faces on the left, large ones on the right.
+        "diffusion(x)" => {
+            builder.diffusion(spatial(&[1.0, 3.5, 3.501, 6.0], &[0.0, 0.0, 0.8, 0.8]))
+        }
+        "capacity(x)" => builder.capacity(spatial(&[1.0, 3.0, 6.0], &[25.0, 25.0, 5.0])),
+        "per-distance growth" => builder.growth(
+            PerDistanceGrowth::new(
+                1.0,
+                (0..6)
+                    .map(|i| ExpDecayGrowth::new(1.0 + 0.3 * f64::from(i), 1.5, 0.25))
+                    .collect(),
+            )
+            .unwrap(),
+        ),
+        other => panic!("unknown mix {other}"),
+    };
+    builder.build(&OBS).unwrap()
+}
+
+/// The bits `VariableDlModel::solve_until` produced per coefficient mix
+/// on [`PINNED_SETTINGS`] when these hashes were taken.
+const PINNED_VARIABLE_SOLVES: [(&str, [u64; 4]); 4] = [
+    (
+        "constant",
+        [
+            0xb9d8_01af_1e4e_b6c7,
+            0x9287_a266_946a_0aca,
+            0x5038_d678_870e_bd75,
+            0xa170_2915_fc22_157e,
+        ],
+    ),
+    (
+        "diffusion(x)",
+        [
+            0x849a_1011_757f_11ce,
+            0x0813_f558_1548_92bc,
+            0xd6f6_731d_08bc_2fa4,
+            0xd880_1ead_a9c9_8dc8,
+        ],
+    ),
+    (
+        "capacity(x)",
+        [
+            0x4b86_8eb4_5f92_7aef,
+            0xa12a_528b_3a24_3928,
+            0x5c45_2a0a_f4dc_cb0c,
+            0x16f2_73b8_305f_6d3e,
+        ],
+    ),
+    (
+        "per-distance growth",
+        [
+            0x18f1_76ff_d53c_2b71,
+            0xd1c6_4726_0edc_dd3e,
+            0xbfb3_ec28_1a22_619a,
+            0xd402_ea32_e2da_bfc4,
+        ],
+    ),
+];
+
+#[test]
+fn variable_solves_are_bit_stable() {
+    for (mix, hashes) in PINNED_VARIABLE_SOLVES {
+        for ((space_intervals, dt, t_end), pinned) in PINNED_SETTINGS.into_iter().zip(hashes) {
+            let model = variable_model(mix, space_intervals, dt);
+            let hash = solution_hash(&model.solve_until(t_end).unwrap());
+            assert_eq!(
+                hash, pinned,
+                "{mix} intervals={space_intervals} dt={dt} t_end={t_end}: {hash:#018x}"
             );
         }
     }
