@@ -2,11 +2,13 @@
 //! ablation (Crank–Nicolson vs explicit method-of-lines, see the
 //! `dlm_core::pde` module docs), the variable-coefficient model and
 //! the underlying kernels (tridiagonal solve, spline construction,
-//! Nelder–Mead iteration cost).
+//! Nelder–Mead iteration cost), and a repeated predict on one fitted
+//! model (its readout table).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dlm_core::growth::ExpDecayGrowth;
 use dlm_core::initial::{InitialDensity, PhiConstruction};
+use dlm_core::model::DlModel;
 use dlm_core::params::DlParameters;
 use dlm_core::pde::{solve, SolverConfig, SolverMethod};
 use dlm_core::variable::{ConstantField, PerDistanceGrowth, TimeOnlyField, VariableDlModelBuilder};
@@ -150,12 +152,39 @@ fn bench_variable_coefficient_solver(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_predict_repeat(c: &mut Criterion) {
+    // One served-shape forecast (six distances, hours 2–6) on the paper's
+    // model: the first predict solves and fills the readout table (a
+    // clone starts with an empty one); a repeat reads its cells.
+    let model = DlModel::paper_hops(&[2.1, 0.7, 0.9, 0.5, 0.3, 0.2]).expect("model");
+    let (distances, hours) = ([1, 2, 3, 4, 5, 6], [2, 3, 4, 5, 6]);
+    model.predict(&distances, &hours).expect("predict");
+    let mut group = c.benchmark_group("predict_repeat");
+    group.bench_function("first", |b| {
+        b.iter(|| {
+            black_box(&model)
+                .clone()
+                .predict(&distances, &hours)
+                .expect("predict")
+        });
+    });
+    group.bench_function("warm", |b| {
+        b.iter(|| {
+            black_box(&model)
+                .predict(&distances, &hours)
+                .expect("predict")
+        });
+    });
+    group.finish();
+}
+
 criterion_group!(
     solvers,
     bench_pde_solvers,
     bench_grid_resolution,
     bench_tridiagonal,
     bench_spline_construction,
-    bench_variable_coefficient_solver
+    bench_variable_coefficient_solver,
+    bench_predict_repeat
 );
 criterion_main!(solvers);

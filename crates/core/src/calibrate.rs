@@ -56,7 +56,7 @@ use crate::growth::ExpDecayGrowth;
 use crate::initial::{InitialDensity, PhiConstruction};
 use crate::model::{DlModel, DlModelBuilder};
 use crate::params::DlParameters;
-use crate::pde::{solve, SolverConfig};
+use crate::pde::{interp_row, solve_observed, SolverConfig};
 use dlm_cascade::DensityMatrix;
 use dlm_numerics::optimize::{multi_start_nelder_mead, NelderMeadConfig};
 pub use dlm_numerics::optimize::{MultiStartConfig, MultiStartOutcome};
@@ -293,26 +293,53 @@ pub fn calibrate_profiles(
         ) else {
             return f64::INFINITY;
         };
-        let Ok(sol) = solve(
+        // Each target profile is read as the solve passes its hour, as
+        // `PdeSolution::value_at` reads it, so no step's row is kept. A
+        // target hour the last step stops just short of reads the last row.
+        let mut rows: Vec<Option<Vec<f64>>> = vec![None; targets.len()];
+        let mut t_last = f64::from(initial_hour);
+        let Ok((xs, last)) = solve_observed(
             &params,
             &growth,
             &phi,
             f64::from(initial_hour),
             t_end,
             &opts.solver,
+            &mut |step| {
+                t_last = step.next.0;
+                let (x0, x1) = (step.xs[0], step.xs[step.xs.len() - 1]);
+                for ((h, profile), row) in targets.iter().zip(&mut rows) {
+                    let t = f64::from(*h);
+                    if row.is_none() && t <= t_last {
+                        *row = Some(
+                            (0..profile.len())
+                                .map(|i| step.value((params.lower() + i as f64).clamp(x0, x1), t))
+                                .collect(),
+                        );
+                    }
+                }
+            },
         ) else {
             return f64::INFINITY;
         };
+        let (x0, x1) = (xs[0], xs[xs.len() - 1]);
         let mut acc = 0.0;
         let mut count = 0usize;
-        for (h, profile) in &targets {
+        for ((h, profile), row) in targets.iter().zip(&rows) {
             for (i, &actual) in profile.iter().enumerate() {
                 if actual == 0.0 {
                     continue;
                 }
                 let x = params.lower() + i as f64;
-                let Ok(pred) = sol.value_at(x, f64::from(*h)) else {
+                if !(x >= x0 - 1e-9 && x <= x1 + 1e-9) {
                     return f64::INFINITY;
+                }
+                let pred = match row {
+                    Some(row) => row[i],
+                    None if f64::from(*h) <= t_last + 1e-9 => {
+                        interp_row(&xs, &last, x.clamp(x0, x1))
+                    }
+                    None => return f64::INFINITY,
                 };
                 let rel = (pred - actual) / actual;
                 acc += rel * rel;

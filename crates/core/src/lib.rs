@@ -48,7 +48,8 @@
 //! * [`initial`] — φ construction per §II.D (flat-ended cubic spline);
 //! * [`pde`] — Eq. 4 solvers: one θ-stepper (Crank–Nicolson / backward
 //!   Euler, also behind [`variable`]) and method-of-lines cross-checks;
-//! * [`model`] — the [`model::DlModel`] facade: observe → solve → predict;
+//! * [`model`] — the [`model::DlModel`] facade: observe → solve → predict,
+//!   with a readout table that resumes the solve instead of repeating it;
 //! * [`accuracy`] — Eq.-8 accuracy tables (Tables I and II);
 //! * [`calibrate`] — automated parameter fitting (the paper's future work);
 //! * [`baselines`] — logistic-only (d = 0), naive, linear-trend, SI/SIS;

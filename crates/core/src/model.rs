@@ -4,15 +4,19 @@
 //! solve the DL equation forward, and read off predicted densities at the
 //! integer distances and hours the evaluation compares against ("in online
 //! social networks, the density is only meaningful when distance is
-//! integer").
+//! integer"). A fitted model keeps the cells it has read in a readout
+//! table and resumes its solve for later hours instead of re-solving.
 
 use crate::error::{DlError, Result};
 use crate::growth::{ExpDecayGrowth, GrowthRate};
 use crate::initial::{InitialDensity, PhiConstruction};
 use crate::params::DlParameters;
-use crate::pde::{solve, PdeSolution, SolverConfig};
+use crate::pde::{
+    self, interp_row, shared_time_grid, solve, step_eq4, Observer, PdeSolution, SolverConfig,
+};
 use crate::predict::FitConfig;
-use std::sync::Arc;
+use std::fmt;
+use std::sync::{Arc, Mutex};
 
 /// A configured diffusive logistic model, ready to solve and predict.
 ///
@@ -41,6 +45,7 @@ pub struct DlModel {
     phi: InitialDensity,
     solver: SolverConfig,
     initial_time: f64,
+    readout: Readout,
 }
 
 /// Builder for [`DlModel`].
@@ -129,6 +134,7 @@ impl DlModelBuilder {
             phi,
             solver: self.config.solver,
             initial_time: self.config.initial_time,
+            readout: Readout::default(),
         })
     }
 }
@@ -143,40 +149,22 @@ pub struct Prediction {
 }
 
 impl Prediction {
-    /// Solves to the latest requested hour with `solve_until` and reads
-    /// `I(d, h)` off the solution at every distance × hour pair: the
-    /// readout behind [`DlModel::predict`] and
-    /// [`crate::variable::VariableDlModel::predict`].
-    pub(crate) fn solve_and_read(
-        initial_time: f64,
+    /// Reads `I(d, h)` with `value_at(d, h)` at every distance × hour
+    /// pair, distance-major, stopping at the first error.
+    fn read(
         distances: &[u32],
         hours: &[u32],
-        solve_until: impl FnOnce(f64) -> Result<PdeSolution>,
+        value_at: impl Fn(f64, f64) -> Result<f64>,
     ) -> Result<Self> {
-        if distances.is_empty() || hours.is_empty() {
-            return Err(DlError::InvalidParameter {
-                name: "distances/hours",
-                reason: "must be nonempty".into(),
-            });
-        }
-        let t_max = f64::from(*hours.iter().max().expect("nonempty"));
-        if t_max <= initial_time {
-            return Err(DlError::InvalidParameter {
-                name: "hours",
-                reason: format!(
-                    "latest requested hour {t_max} must exceed the initial time {initial_time}"
-                ),
-            });
-        }
-        let solution = solve_until(t_max)?;
-        let mut values = Vec::with_capacity(distances.len());
-        for &d in distances {
-            let mut row = Vec::with_capacity(hours.len());
-            for &h in hours {
-                row.push(solution.value_at(f64::from(d), f64::from(h))?);
-            }
-            values.push(row);
-        }
+        let values = distances
+            .iter()
+            .map(|&d| {
+                hours
+                    .iter()
+                    .map(|&h| value_at(f64::from(d), f64::from(h)))
+                    .collect()
+            })
+            .collect::<Result<_>>()?;
         Ok(Self {
             distances: distances.to_vec(),
             hours: hours.to_vec(),
@@ -273,9 +261,264 @@ impl Prediction {
             .ok_or(DlError::OutOfDomain {
                 axis: "time",
                 value: f64::from(hour),
-                range: (0.0, 0.0),
+                range: (
+                    f64::from(*self.hours.first().unwrap_or(&0)),
+                    f64::from(*self.hours.last().unwrap_or(&0)),
+                ),
             })?;
         Ok(self.values.iter().map(|row| row[hi]).collect())
+    }
+}
+
+/// A model whose solve a [`Readout`] can run and resume: Eq. 4
+/// ([`DlModel`]) or §V ([`crate::variable::VariableDlModel`]).
+pub(crate) trait Resumable {
+    /// The time of the initial observation, where every solve starts.
+    fn initial_time(&self) -> f64;
+
+    /// The step of the θ-stepper the model is solved with, or `None` for
+    /// an explicit method.
+    fn theta_dt(&self) -> Option<f64>;
+
+    /// Solves to `t_end`, recording every step.
+    fn solve_until(&self, t_end: f64) -> Result<PdeSolution>;
+
+    /// The grid, its spacing and φ on it, for a solve to `t_end`.
+    fn start(&self, t_end: f64) -> Result<(Vec<f64>, f64, Vec<f64>)>;
+
+    /// Steps `u`, the field after step `first_step` of a solve to
+    /// `t_end`, on to `t_end`, handing each step to `observe`.
+    fn advance(
+        &self,
+        xs: &[f64],
+        dx: f64,
+        u: &mut Vec<f64>,
+        first_step: usize,
+        t_end: f64,
+        observe: Observer<'_>,
+    ) -> Result<()>;
+}
+
+/// A fitted model's readout table: `I(d, h)` at every integer distance on
+/// the grid and every integer hour from the initial time up to the
+/// latest hour asked for so far, plus the θ-stepper's state at the end
+/// of that solve.
+///
+/// A request within the table reads cells and runs no PDE step; one past
+/// it resumes the solve from the stored state and never re-steps earlier
+/// hours. Either way the cells are bit for bit what
+/// [`PdeSolution::value_at`] returns on a fresh solve to the request's
+/// latest hour: [`shared_time_grid`] guards each request, and a request
+/// it rejects (a non-integer initial time, another `dt`, an explicit
+/// method) is answered by such a fresh solve. A fill that fails or
+/// panics leaves an empty table, so the next request re-fills from φ.
+/// A clone starts empty.
+#[derive(Default)]
+pub(crate) struct Readout(Mutex<Option<Table>>);
+
+/// The cells and stepper state behind a [`Readout`].
+struct Table {
+    xs: Vec<f64>,
+    dx: f64,
+    /// The field after `steps` steps.
+    state: Vec<f64>,
+    steps: usize,
+    /// The first integer distance `value_at` accepts; `width` follow it.
+    first_distance: u32,
+    width: usize,
+    /// Hour-major cells of the hours `t0, t0 + 1, …, t0 + hours − 1`.
+    cells: Vec<f64>,
+    hours: usize,
+}
+
+impl Clone for Readout {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
+impl fmt::Debug for Readout {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Readout").finish_non_exhaustive()
+    }
+}
+
+impl Readout {
+    /// Predicts densities at the given integer distances and hours of
+    /// `model`, through the table when the request's time grid allows.
+    pub(crate) fn predict(
+        &self,
+        model: &impl Resumable,
+        distances: &[u32],
+        hours: &[u32],
+    ) -> Result<Prediction> {
+        if distances.is_empty() || hours.is_empty() {
+            return Err(DlError::InvalidParameter {
+                name: "distances/hours",
+                reason: "must be nonempty".into(),
+            });
+        }
+        let t0 = model.initial_time();
+        let t_max = f64::from(*hours.iter().max().expect("nonempty"));
+        if t_max <= t0 {
+            return Err(DlError::InvalidParameter {
+                name: "hours",
+                reason: format!("latest requested hour {t_max} must exceed the initial time {t0}"),
+            });
+        }
+        let Some((steps, t_last)) = model
+            .theta_dt()
+            .and_then(|dt| shared_time_grid(t0, t_max, dt))
+        else {
+            let solution = model.solve_until(t_max)?;
+            return Prediction::read(distances, hours, |x, t| solution.value_at(x, t));
+        };
+        let mut slot = self.0.lock().unwrap_or_else(|poisoned| {
+            self.0.clear_poison();
+            poisoned.into_inner()
+        });
+        // Out of the slot while it grows: an error or a panic leaves it
+        // empty, so a slot recovered from a poisoned lock is always valid.
+        let mut table = match slot.take() {
+            Some(table) => table,
+            None => Table::start(model, t_max)?,
+        };
+        table.fill(model, t_max, steps)?;
+        let prediction =
+            Prediction::read(distances, hours, |x, t| table.value_at(t0, t_last, x, t));
+        *slot = Some(table);
+        prediction
+    }
+}
+
+impl Table {
+    /// A table holding the initial hour's cells, read off φ.
+    fn start(model: &impl Resumable, t_end: f64) -> Result<Self> {
+        let (xs, dx, u0) = model.start(t_end)?;
+        let lo = (xs[0] - 1e-9).ceil().max(0.0);
+        let hi = (xs[xs.len() - 1] + 1e-9).floor();
+        let width = if hi >= lo { (hi - lo) as usize + 1 } else { 0 };
+        let mut table = Self {
+            xs,
+            dx,
+            state: u0,
+            steps: 0,
+            first_distance: lo as u32,
+            width,
+            cells: Vec::new(),
+            hours: 1,
+        };
+        table.cells = (0..width)
+            .map(|i| interp_row(&table.xs, &table.state, table.distance(i)))
+            .collect();
+        Ok(table)
+    }
+
+    /// The `i`-th readable distance, clamped to the grid as `value_at`
+    /// clamps it.
+    fn distance(&self, i: usize) -> f64 {
+        f64::from(self.first_distance + i as u32).clamp(self.xs[0], self.xs[self.xs.len() - 1])
+    }
+
+    /// Resumes the solve to `t_end` (`steps` steps), reading each integer
+    /// hour past the table as the stepper passes it.
+    fn fill(&mut self, model: &impl Resumable, t_end: f64, steps: usize) -> Result<()> {
+        let t0 = model.initial_time();
+        let mut next = t0 + self.hours as f64;
+        if next > t_end {
+            return Ok(());
+        }
+        let mut cells = std::mem::take(&mut self.cells);
+        let distances: Vec<f64> = (0..self.width).map(|i| self.distance(i)).collect();
+        model.advance(
+            &self.xs,
+            self.dx,
+            &mut self.state,
+            self.steps,
+            t_end,
+            &mut |step| {
+                while next <= t_end && next <= step.next.0 {
+                    cells.extend(distances.iter().map(|&x| step.value(x, next)));
+                    next += 1.0;
+                }
+            },
+        )?;
+        self.cells = cells;
+        self.steps = steps;
+        self.hours = (next - t0) as usize;
+        Ok(())
+    }
+
+    /// The cell `value_at(x, t)` reads from a solve from `t0` whose last
+    /// recorded time is `t_last`, with its domain errors.
+    fn value_at(&self, t0: f64, t_last: f64, x: f64, t: f64) -> Result<f64> {
+        let (x0, x1) = (self.xs[0], self.xs[self.xs.len() - 1]);
+        if !(x >= x0 - 1e-9 && x <= x1 + 1e-9) {
+            return Err(DlError::OutOfDomain {
+                axis: "distance",
+                value: x,
+                range: (x0, x1),
+            });
+        }
+        if !(t >= t0 - 1e-9 && t <= t_last + 1e-9) {
+            return Err(DlError::OutOfDomain {
+                axis: "time",
+                value: t,
+                range: (t0, t_last),
+            });
+        }
+        let row = (t - t0) as usize;
+        let column = (x as u32 - self.first_distance) as usize;
+        Ok(self.cells[row * self.width + column])
+    }
+}
+
+impl Resumable for DlModel {
+    fn initial_time(&self) -> f64 {
+        self.initial_time
+    }
+
+    fn theta_dt(&self) -> Option<f64> {
+        self.solver.method.is_theta().then_some(self.solver.dt)
+    }
+
+    fn solve_until(&self, t_end: f64) -> Result<PdeSolution> {
+        DlModel::solve_until(self, t_end)
+    }
+
+    fn start(&self, t_end: f64) -> Result<(Vec<f64>, f64, Vec<f64>)> {
+        let (lower, upper) = (self.params.lower(), self.params.upper());
+        pde::start(
+            lower,
+            upper,
+            &self.phi,
+            &self.solver,
+            self.initial_time,
+            t_end,
+        )
+    }
+
+    fn advance(
+        &self,
+        xs: &[f64],
+        dx: f64,
+        u: &mut Vec<f64>,
+        first_step: usize,
+        t_end: f64,
+        observe: Observer<'_>,
+    ) -> Result<()> {
+        step_eq4(
+            &self.params,
+            self.growth.as_ref(),
+            &self.solver,
+            xs,
+            dx,
+            u,
+            first_step,
+            self.initial_time,
+            t_end,
+            observe,
+        )
     }
 }
 
@@ -354,18 +597,37 @@ impl DlModel {
     ///   hours at/before the initial time.
     /// * [`DlError::OutOfDomain`] — a distance outside `[l, L]`.
     /// * Propagates solver errors.
+    ///
+    /// The model keeps the cells it has solved for: a later request
+    /// reads them, and one reaching past them resumes the solve, with the
+    /// same bits a fresh model returns.
     pub fn predict(&self, distances: &[u32], hours: &[u32]) -> Result<Prediction> {
-        Prediction::solve_and_read(self.initial_time, distances, hours, |t| self.solve_until(t))
+        self.readout.predict(self, distances, hours)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::growth::ConstantGrowth;
+    use crate::growth::{ConstantGrowth, FnGrowth};
     use crate::pde::SolverMethod;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     const OBS: [f64; 6] = [2.1, 0.7, 0.9, 0.5, 0.3, 0.2];
+
+    /// The paper's Eq.-7 growth, `r(t) = 1.4·e^{−1.5(t−1)} + 0.25`.
+    fn eq7(t: f64) -> f64 {
+        1.4 * (-1.5 * (t - 1.0)).exp() + 0.25
+    }
+
+    fn bits(prediction: &Prediction) -> Vec<u64> {
+        prediction
+            .values
+            .iter()
+            .flatten()
+            .map(|v| v.to_bits())
+            .collect()
+    }
 
     #[test]
     fn paper_hops_preset_predicts_growth() {
@@ -458,6 +720,95 @@ mod tests {
         assert!(sol.times().first().copied().unwrap() == 1.0);
         assert!((sol.times().last().copied().unwrap() - 6.0).abs() < 1e-9);
         assert!(sol.max_value() <= 25.0 + 1e-6);
+    }
+
+    #[test]
+    fn profile_at_reports_the_requested_hours() {
+        let model = DlModel::paper_hops(&OBS).unwrap();
+        let p = model.predict(&[1, 2], &[3, 5]).unwrap();
+        match p.profile_at(9).unwrap_err() {
+            DlError::OutOfDomain { axis, value, range } => {
+                assert_eq!((axis, value, range), ("time", 9.0, (3.0, 5.0)));
+            }
+            other => panic!("expected OutOfDomain, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn later_requests_resume_the_solve() {
+        // Each θ-step evaluates r(t) twice: at its start and its end.
+        static CALLS: AtomicUsize = AtomicUsize::new(0);
+        let counted = |initial_time: f64| {
+            DlModelBuilder::new(DlParameters::paper_hops(6).unwrap())
+                .growth(FnGrowth::new(
+                    |t| {
+                        CALLS.fetch_add(1, Ordering::Relaxed);
+                        eq7(t)
+                    },
+                    "counted eq7",
+                ))
+                .initial_time(initial_time)
+                .build(&OBS)
+                .unwrap()
+        };
+        let calls_of = |run: &dyn Fn()| {
+            let before = CALLS.load(Ordering::Relaxed);
+            run();
+            CALLS.load(Ordering::Relaxed) - before
+        };
+        let model = counted(1.0);
+        let early = model.predict(&[1, 6], &[3]).unwrap();
+        assert_eq!(calls_of(&|| drop(model.predict(&[2], &[2, 3]).unwrap())), 0);
+        assert_eq!(
+            calls_of(&|| drop(model.predict(&[1, 6], &[5, 3]).unwrap())),
+            2 * 200
+        );
+        assert_eq!(
+            bits(&early),
+            bits(&counted(1.0).predict(&[1, 6], &[3]).unwrap())
+        );
+        // A fractional initial hour solves per request.
+        let model = counted(1.5);
+        model.predict(&[1], &[3]).unwrap();
+        assert_eq!(
+            calls_of(&|| drop(model.predict(&[1], &[3]).unwrap())),
+            2 * 150
+        );
+    }
+
+    #[test]
+    fn a_panicking_fill_leaves_a_fresh_table() {
+        static ARMED: AtomicBool = AtomicBool::new(false);
+        let build = || {
+            DlModelBuilder::new(DlParameters::paper_hops(6).unwrap())
+                .growth(FnGrowth::new(
+                    |t| {
+                        assert!(
+                            !ARMED.load(Ordering::Relaxed),
+                            "growth evaluated while armed"
+                        );
+                        eq7(t)
+                    },
+                    "armed eq7",
+                ))
+                .build(&OBS)
+                .unwrap()
+        };
+        let (distances, hours) = ([1, 3, 6], [2, 4, 6]);
+        let model = build();
+        model.predict(&distances, &[3]).unwrap();
+        ARMED.store(true, Ordering::Relaxed);
+        let filled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            model.predict(&distances, &hours)
+        }));
+        ARMED.store(false, Ordering::Relaxed);
+        assert!(filled.is_err(), "the fill must have panicked");
+        let fresh = build().predict(&distances, &hours).unwrap();
+        assert_eq!(
+            bits(&model.predict(&distances, &hours).unwrap()),
+            bits(&fresh)
+        );
+        assert!(!model.readout.0.is_poisoned());
     }
 
     #[test]

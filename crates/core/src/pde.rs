@@ -26,11 +26,15 @@
 //! is generic over how growth and capacity are stored: one scalar for
 //! Eq. 4, one value per node for §V. The stepper allocates its workspace
 //! once per solve and evaluates coefficients once per step, so the step
-//! loop allocates nothing but the recorded rows. Its output is pinned bit
-//! for bit: `tests/solver_validation.rs` hashes every time and value bit
-//! of reference solves of both models and of served-lineup fits, and a
-//! stepper change that moves any bit must re-baseline those hashes
-//! deliberately.
+//! loop allocates nothing. It records no rows either: it hands each step
+//! to an observer. [`solve`] records them all; the prediction readout in
+//! [`crate::model`] keeps only the integer-hour cells and the last state,
+//! and can resume stepping from that state; the calibration objective
+//! keeps only its target cells. Its output is pinned bit for bit:
+//! `tests/solver_validation.rs` hashes every time and value bit of
+//! reference solves of both models and of served-lineup fits, and pins
+//! resumed readouts against fresh solves. A stepper change that moves any
+//! bit must re-baseline those hashes deliberately.
 
 use crate::error::{DlError, Result};
 use crate::growth::GrowthRate;
@@ -63,6 +67,14 @@ pub struct SolverConfig {
     /// Time step (hours). Explicit methods subdivide further if needed for
     /// stability.
     pub dt: f64,
+}
+
+impl SolverMethod {
+    /// Whether the method runs on the implicit θ-stepper (CN or BE).
+    #[must_use]
+    pub(crate) fn is_theta(self) -> bool {
+        matches!(self, Self::CrankNicolson | Self::BackwardEuler)
+    }
 }
 
 impl Default for SolverConfig {
@@ -111,7 +123,8 @@ impl PdeSolution {
     /// Returns [`DlError::OutOfDomain`] for queries outside the grid.
     pub fn value_at(&self, x: f64, t: f64) -> Result<f64> {
         let (x0, x1) = (self.xs[0], *self.xs.last().expect("nonempty grid"));
-        if x < x0 - 1e-9 || x > x1 + 1e-9 {
+        // Negated so that NaN fails both checks.
+        if !(x >= x0 - 1e-9 && x <= x1 + 1e-9) {
             return Err(DlError::OutOfDomain {
                 axis: "distance",
                 value: x,
@@ -119,7 +132,7 @@ impl PdeSolution {
             });
         }
         let (t0, t1) = (self.times[0], *self.times.last().expect("nonempty times"));
-        if t < t0 - 1e-9 || t > t1 + 1e-9 {
+        if !(t >= t0 - 1e-9 && t <= t1 + 1e-9) {
             return Err(DlError::OutOfDomain {
                 axis: "time",
                 value: t,
@@ -131,14 +144,15 @@ impl PdeSolution {
 
         // Locate time bracket.
         let ti = match self.times.binary_search_by(|v| v.total_cmp(&t)) {
-            Ok(i) => return Ok(self.space_interp(i, x)),
+            Ok(i) => return Ok(interp_row(&self.xs, &self.values[i], x)),
             Err(i) => i.clamp(1, self.times.len() - 1),
         };
-        let (ta, tb) = (self.times[ti - 1], self.times[ti]);
-        let w = if tb > ta { (t - ta) / (tb - ta) } else { 0.0 };
-        let va = self.space_interp(ti - 1, x);
-        let vb = self.space_interp(ti, x);
-        Ok(va * (1.0 - w) + vb * w)
+        Ok(Step {
+            xs: &self.xs,
+            now: (self.times[ti - 1], &self.values[ti - 1]),
+            next: (self.times[ti], &self.values[ti]),
+        }
+        .value(x, t))
     }
 
     /// The spatial profile at the recorded time nearest to `t`.
@@ -152,21 +166,6 @@ impl PdeSolution {
             .map(|(i, _)| i)
             .expect("nonempty times");
         &self.values[idx]
-    }
-
-    fn space_interp(&self, time_idx: usize, x: f64) -> f64 {
-        let row = &self.values[time_idx];
-        let n = self.xs.len();
-        if x <= self.xs[0] {
-            return row[0];
-        }
-        if x >= self.xs[n - 1] {
-            return row[n - 1];
-        }
-        let dx = self.xs[1] - self.xs[0];
-        let j = (((x - self.xs[0]) / dx).floor() as usize).min(n - 2);
-        let w = (x - self.xs[j]) / dx;
-        row[j] * (1.0 - w) + row[j + 1] * w
     }
 
     /// Global maximum of the solved field.
@@ -190,21 +189,64 @@ impl PdeSolution {
     }
 }
 
+/// `I(x)` on one row of grid values by linear interpolation, for `x`
+/// already clamped to the grid.
+pub(crate) fn interp_row(xs: &[f64], row: &[f64], x: f64) -> f64 {
+    let n = xs.len();
+    if x <= xs[0] {
+        return row[0];
+    }
+    if x >= xs[n - 1] {
+        return row[n - 1];
+    }
+    let dx = xs[1] - xs[0];
+    let j = (((x - xs[0]) / dx).floor() as usize).min(n - 2);
+    let w = (x - xs[j]) / dx;
+    row[j] * (1.0 - w) + row[j + 1] * w
+}
+
+/// One step of a solve, as its observer sees it: the grid and the
+/// field at the step's start and end times.
+pub(crate) struct Step<'a> {
+    pub(crate) xs: &'a [f64],
+    pub(crate) now: (f64, &'a [f64]),
+    pub(crate) next: (f64, &'a [f64]),
+}
+
+impl Step<'_> {
+    /// `I(x, t)` for `t` in `(now, next]` and `x` clamped to the grid:
+    /// bit for bit what [`PdeSolution::value_at`] reads from a recorded
+    /// trajectory that holds this step.
+    pub(crate) fn value(&self, x: f64, t: f64) -> f64 {
+        let ((ta, va), (tb, vb)) = (self.now, self.next);
+        if t == tb {
+            return interp_row(self.xs, vb, x);
+        }
+        let w = if tb > ta { (t - ta) / (tb - ta) } else { 0.0 };
+        interp_row(self.xs, va, x) * (1.0 - w) + interp_row(self.xs, vb, x) * w
+    }
+}
+
+/// The observer a solve hands each step to.
+pub(crate) type Observer<'o> = &'o mut dyn FnMut(&Step<'_>);
+
 /// Builds the uniform grid of `config.space_intervals` intervals over
-/// `[lower, upper]` and returns it with its spacing, after checking the
-/// resolution and time span every solver in this crate needs.
+/// `[lower, upper]` and returns it with its spacing and φ on it, after
+/// checking the resolution and time span every solver in this crate
+/// needs.
 ///
 /// # Errors
 ///
 /// [`DlError::InvalidParameter`] for fewer than 2 intervals, a
 /// non-positive (or NaN) `dt`, or `t_end ≤ t_start`.
-pub(crate) fn grid(
+pub(crate) fn start(
     lower: f64,
     upper: f64,
+    phi: &InitialDensity,
     config: &SolverConfig,
     t_start: f64,
     t_end: f64,
-) -> Result<(Vec<f64>, f64)> {
+) -> Result<(Vec<f64>, f64, Vec<f64>)> {
     let m = config.space_intervals;
     if m < 2 {
         return Err(DlError::InvalidParameter {
@@ -225,7 +267,9 @@ pub(crate) fn grid(
         });
     }
     let dx = (upper - lower) / m as f64;
-    Ok(((0..=m).map(|j| lower + j as f64 * dx).collect(), dx))
+    let xs: Vec<f64> = (0..=m).map(|j| lower + j as f64 * dx).collect();
+    let u0 = xs.iter().map(|&x| phi.value(x)).collect();
+    Ok((xs, dx, u0))
 }
 
 /// Solves the DL equation from `t_start` to `t_end`, recording the field at
@@ -245,38 +289,21 @@ pub fn solve(
     t_end: f64,
     config: &SolverConfig,
 ) -> Result<PdeSolution> {
-    let (xs, dx) = grid(params.lower(), params.upper(), config, t_start, t_end)?;
-    let u0: Vec<f64> = xs.iter().map(|&x| phi.value(x)).collect();
+    let (xs, dx, u0) = start(params.lower(), params.upper(), phi, config, t_start, t_end)?;
     let d_over_dx2 = params.diffusion() / (dx * dx);
-    let k = params.capacity();
     let sys = MolSystem {
         growth,
         d_over_dx2,
-        k,
+        k: params.capacity(),
         dim: xs.len(),
     };
     let traj = match config.method {
         SolverMethod::CrankNicolson | SolverMethod::BackwardEuler => {
-            // Implicit weight: CN splits the operator evenly; BE is fully
-            // implicit.
-            let theta = if config.method == SolverMethod::CrankNicolson {
-                0.5
-            } else {
-                1.0
-            };
-            return solve_theta(
-                &xs,
-                u0,
-                t_start,
-                t_end,
-                config.dt,
-                theta,
-                UniformDiffusion(d_over_dx2),
-                |t, r: &mut f64, capacity: &mut f64| {
-                    *r = growth.rate(t);
-                    *capacity = k;
-                },
-            );
+            return record(xs, u0, t_start, |xs, u, observe| {
+                step_eq4(
+                    params, growth, config, xs, dx, u, 0, t_start, t_end, observe,
+                )
+            });
         }
         SolverMethod::Rk4 => {
             let steps = ((t_end - t_start) / config.dt).ceil() as usize;
@@ -295,6 +322,101 @@ pub fn solve(
         times: traj.times().to_vec(),
         values: traj.states().to_vec(),
     })
+}
+
+/// Solves Eq. 4 like [`solve`], but hands each step to `observe` instead
+/// of recording it, and returns the grid and the final field. The θ
+/// schemes keep no rows at all; the explicit ones replay their
+/// trajectory.
+///
+/// # Errors
+///
+/// Same conditions as [`solve`].
+pub(crate) fn solve_observed(
+    params: &DlParameters,
+    growth: &dyn GrowthRate,
+    phi: &InitialDensity,
+    t_start: f64,
+    t_end: f64,
+    config: &SolverConfig,
+    observe: Observer<'_>,
+) -> Result<(Vec<f64>, Vec<f64>)> {
+    if !config.method.is_theta() {
+        let sol = solve(params, growth, phi, t_start, t_end, config)?;
+        for k in 1..sol.times.len() {
+            observe(&Step {
+                xs: &sol.xs,
+                now: (sol.times[k - 1], &sol.values[k - 1]),
+                next: (sol.times[k], &sol.values[k]),
+            });
+        }
+        let last = sol.values.last().expect("nonempty trajectory").clone();
+        return Ok((sol.xs, last));
+    }
+    let (xs, dx, mut u) = start(params.lower(), params.upper(), phi, config, t_start, t_end)?;
+    step_eq4(
+        params, growth, config, &xs, dx, &mut u, 0, t_start, t_end, observe,
+    )?;
+    Ok((xs, u))
+}
+
+/// Eq. 4 on the θ-stepper (CN or BE, from `config.method`): steps the
+/// field `u` on the grid `xs` from step `first_step` of a solve from
+/// `t_start` on to `t_end`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn step_eq4(
+    params: &DlParameters,
+    growth: &dyn GrowthRate,
+    config: &SolverConfig,
+    xs: &[f64],
+    dx: f64,
+    u: &mut Vec<f64>,
+    first_step: usize,
+    t_start: f64,
+    t_end: f64,
+    observe: Observer<'_>,
+) -> Result<()> {
+    // Implicit weight: CN splits the operator evenly; BE is fully
+    // implicit.
+    let theta = if config.method == SolverMethod::CrankNicolson {
+        0.5
+    } else {
+        1.0
+    };
+    let k = params.capacity();
+    solve_theta(
+        xs,
+        u,
+        first_step,
+        t_start,
+        t_end,
+        config.dt,
+        theta,
+        UniformDiffusion(params.diffusion() / (dx * dx)),
+        |t, r: &mut f64, capacity: &mut f64| {
+            *r = growth.rate(t);
+            *capacity = k;
+        },
+        observe,
+    )
+}
+
+/// Runs `run` from `u0` at `t_start` (step 0) and records every step it
+/// observes: the full trajectory of a θ-solve.
+pub(crate) fn record(
+    xs: Vec<f64>,
+    u0: Vec<f64>,
+    t_start: f64,
+    run: impl FnOnce(&[f64], &mut Vec<f64>, Observer<'_>) -> Result<()>,
+) -> Result<PdeSolution> {
+    let mut times = vec![t_start];
+    let mut values = vec![u0.clone()];
+    let mut u = u0;
+    run(&xs, &mut u, &mut |step| {
+        times.push(step.next.0);
+        values.push(step.next.1.to_vec());
+    })?;
+    Ok(PdeSolution { xs, times, values })
 }
 
 /// Method-of-lines right-hand side shared by the explicit steppers.
@@ -424,25 +546,63 @@ const NEWTON_ITERATIONS: usize = 30;
 /// Max-norm Newton residual below which an implicit step is accepted.
 const NEWTON_TOLERANCE: f64 = 1e-11;
 
+/// The θ-stepper's step count and step over `[t_start, t_end]`: the
+/// fewest steps of at most `dt`, shrunk to land on `t_end`.
+fn theta_steps(t_start: f64, t_end: f64, dt: f64) -> (usize, f64) {
+    let steps = ((t_end - t_start) / dt).ceil() as usize;
+    (steps, (t_end - t_start) / steps as f64)
+}
+
+/// The time of step `s` of a θ-solve from `t_start` with step `dt`.
+fn step_time(t_start: f64, s: usize, dt: f64) -> f64 {
+    t_start + s as f64 * dt
+}
+
+/// The step count of a θ-solve from `t_start` to `t_end` and the last
+/// time it records, or `None` unless that solve steps on exactly the
+/// times `t_start + s·dt` and does not stop short of `t_end`.
+///
+/// The θ-stepper's times depend on `t_end` only through the shrunk
+/// step. When that step is `dt` bit for bit, every solve from `t_start`
+/// that passes this test steps through the same times with the same
+/// fields, so a longer one reads any time up to `t_end` from the same two
+/// rows with the same weight as this one. It holds for integer `t_start`
+/// and `t_end` at the default `dt`; a readout that resumes a solve checks
+/// it per request.
+pub(crate) fn shared_time_grid(t_start: f64, t_end: f64, dt: f64) -> Option<(usize, f64)> {
+    let (steps, step) = theta_steps(t_start, t_end, dt);
+    if t_start.fract() != 0.0 || step.to_bits() != dt.to_bits() || steps == 0 {
+        return None;
+    }
+    let last = step_time(t_start, steps - 1, dt) + dt;
+    (last >= t_end).then_some((steps, last))
+}
+
 /// The θ-scheme (½: Crank–Nicolson, 1: backward Euler) for
-/// `∂I/∂t = Lap I + r·I·(1 − I/K)` on the [`grid`] `xs` from `u0` at
-/// `t_start` to `t_end`, recording every step. `reaction(t, r, k)` fills
-/// growth and capacity at `t`; each step solves its nonlinear system
-/// with damped Newton over the tridiagonal Jacobian.
+/// `∂I/∂t = Lap I + r·I·(1 − I/K)` on the grid `xs` of [`start`]: steps
+/// `state`, the field after step `first_step` of a solve from `t_start`
+/// to `t_end`, on to `t_end`, and hands every step to `observe`.
+/// `reaction(t, r, k)` fills growth and capacity at `t`; each step solves
+/// its nonlinear system with damped Newton over the tridiagonal Jacobian.
+/// On an error `state` is left empty.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn solve_theta<C: NodeValues>(
     xs: &[f64],
-    u0: Vec<f64>,
+    state: &mut Vec<f64>,
+    first_step: usize,
     t_start: f64,
     t_end: f64,
     dt: f64,
     theta: f64,
     diffusion: impl Diffusion,
     mut reaction: impl FnMut(f64, &mut C, &mut C),
-) -> Result<PdeSolution> {
+    observe: Observer<'_>,
+) -> Result<()> {
     let n = xs.len();
-    let steps = ((t_end - t_start) / dt).ceil() as usize;
-    let dt = (t_end - t_start) / steps as f64;
+    // Stepped as a local: indexing through the `&mut Vec` costs the step
+    // loop a few percent.
+    let mut u = std::mem::take(state);
+    let (steps, dt) = theta_steps(t_start, t_end, dt);
     let explicit_weight = dt * (1.0 - theta);
     let implicit_weight = dt * theta;
     // The Jacobian's off-diagonals and the Laplacian part of its
@@ -454,14 +614,7 @@ pub(crate) fn solve_theta<C: NodeValues>(
     sup[0] *= 2.0;
     sub[n - 2] *= 2.0;
 
-    let mut u = u0;
-    let mut times = Vec::with_capacity(steps + 1);
-    let mut values = Vec::with_capacity(steps + 1);
-    times.push(t_start);
-    values.push(u.clone());
-
-    // Per-solve workspace: the step loop allocates nothing but the
-    // recorded rows.
+    // Per-solve workspace: the step loop allocates nothing.
     let (mut r_now, mut k_now) = (C::zeros(n), C::zeros(n));
     let (mut r_next, mut k_next) = (C::zeros(n), C::zeros(n));
     let mut lap = vec![0.0; n];
@@ -486,8 +639,8 @@ pub(crate) fn solve_theta<C: NodeValues>(
         norm
     };
 
-    for s in 0..steps {
-        let t_now = t_start + s as f64 * dt;
+    for s in first_step..steps {
+        let t_now = step_time(t_start, s, dt);
         let t_next = t_now + dt;
         reaction(t_now, &mut r_now, &mut k_now);
         reaction(t_next, &mut r_next, &mut k_next);
@@ -552,14 +705,14 @@ pub(crate) fn solve_theta<C: NodeValues>(
             ));
         }
         std::mem::swap(&mut u, &mut v);
-        times.push(t_next);
-        values.push(u.clone());
+        observe(&Step {
+            xs,
+            now: (t_now, &v),
+            next: (t_next, &u),
+        });
     }
-    Ok(PdeSolution {
-        xs: xs.to_vec(),
-        times,
-        values,
-    })
+    *state = u;
+    Ok(())
 }
 
 #[cfg(test)]
@@ -794,6 +947,87 @@ mod tests {
             DlError::OutOfDomain { axis: "time", .. }
         ));
         assert!(sol.value_at(6.0, 6.0).is_ok());
+    }
+
+    #[test]
+    fn value_at_rejects_non_finite_queries() {
+        let p = params();
+        let sol = solve(
+            &p,
+            &ExpDecayGrowth::paper_hops(),
+            &phi(&p),
+            1.0,
+            6.0,
+            &SolverConfig::default(),
+        )
+        .unwrap();
+        for (x, t, want) in [
+            (f64::NAN, 3.0, "distance"),
+            (f64::INFINITY, 3.0, "distance"),
+            (3.0, f64::NAN, "time"),
+            (3.0, f64::NEG_INFINITY, "time"),
+        ] {
+            match sol.value_at(x, t) {
+                Err(DlError::OutOfDomain { axis, .. }) => assert_eq!(axis, want, "({x}, {t})"),
+                other => panic!("({x}, {t}): expected OutOfDomain, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn served_time_grids_are_shared() {
+        // The registry builds every DL model with the default solver
+        // config and an integer initial hour; the other steps are the
+        // usual alternatives. Every span of up to a week passes the guard.
+        for (dt, starts) in [
+            (SolverConfig::default().dt, 0..=48),
+            (0.005, 1..=3),
+            (0.02, 1..=3),
+            (0.05, 1..=3),
+            (0.1, 1..=3),
+        ] {
+            for t_start in starts {
+                let t_start = f64::from(t_start);
+                for span in 1..=168 {
+                    let t_end = t_start + f64::from(span);
+                    let (steps, step) = theta_steps(t_start, t_end, dt);
+                    assert_eq!(
+                        step.to_bits(),
+                        dt.to_bits(),
+                        "dt {dt}: [{t_start}, {t_end}]"
+                    );
+                    let (shared_steps, last) = shared_time_grid(t_start, t_end, dt)
+                        .unwrap_or_else(|| panic!("dt {dt}: [{t_start}, {t_end}]"));
+                    assert_eq!(shared_steps, steps);
+                    assert!(
+                        last >= t_end,
+                        "dt {dt}: [{t_start}, {t_end}] stops at {last}"
+                    );
+                }
+            }
+        }
+        // The last time is the one a solve records.
+        let p = params();
+        for t_end in [2.0, 5.0, 9.0] {
+            let sol = solve(
+                &p,
+                &ExpDecayGrowth::paper_hops(),
+                &phi(&p),
+                1.0,
+                t_end,
+                &SolverConfig::default(),
+            )
+            .unwrap();
+            let (steps, last) = shared_time_grid(1.0, t_end, 0.01).unwrap();
+            assert_eq!(sol.times().len(), steps + 1);
+            assert_eq!(sol.times().last().unwrap().to_bits(), last.to_bits());
+        }
+        // A fractional start, a step that does not divide the span, or a
+        // degenerate step each fail it.
+        assert!(shared_time_grid(1.5, 3.0, 0.01).is_none());
+        assert!(shared_time_grid(1.0, 2.0, 0.3).is_none());
+        assert!(shared_time_grid(1.0, 2.0, f64::NAN).is_none());
+        assert!(shared_time_grid(1.0, 2.0, f64::INFINITY).is_none());
     }
 
     #[test]

@@ -23,9 +23,9 @@
 use crate::error::{DlError, Result};
 use crate::growth::ExpDecayGrowth;
 use crate::initial::InitialDensity;
-use crate::model::Prediction;
+use crate::model::{Prediction, Readout, Resumable};
 use crate::params::DlParameters;
-use crate::pde::{grid, solve_theta, FaceDiffusion, PdeSolution, SolverConfig};
+use crate::pde::{record, solve_theta, start, FaceDiffusion, Observer, PdeSolution, SolverConfig};
 use crate::predict::FitConfig;
 use dlm_cascade::DensityMatrix;
 use dlm_numerics::interp::LinearInterp;
@@ -183,6 +183,7 @@ pub struct VariableDlModel {
     initial_time: f64,
     /// Resolution; the method is always Crank–Nicolson.
     solver: SolverConfig,
+    readout: Readout,
 }
 
 /// Builder for [`VariableDlModel`].
@@ -294,6 +295,7 @@ impl VariableDlModelBuilder {
             phi,
             initial_time: self.config.initial_time,
             solver: self.config.solver,
+            readout: Readout::default(),
         };
         model.validate_fields()?;
         Ok(model)
@@ -340,37 +342,71 @@ impl VariableDlModel {
     ///   non-positive time step, or `t_end` not after the initial time.
     /// * Propagates Newton/tridiagonal failures.
     pub fn solve_until(&self, t_end: f64) -> Result<PdeSolution> {
+        let (xs, dx, u0) = self.start(t_end)?;
+        record(xs, u0, self.initial_time, |xs, u, observe| {
+            self.advance(xs, dx, u, 0, t_end, observe)
+        })
+    }
+
+    /// Predicts densities at integer distances and hours, like
+    /// [`crate::model::DlModel::predict`], and keeps the cells it solved
+    /// for the same way.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`crate::model::DlModel::predict`].
+    pub fn predict(&self, distances: &[u32], hours: &[u32]) -> Result<Prediction> {
+        self.readout.predict(self, distances, hours)
+    }
+}
+
+impl Resumable for VariableDlModel {
+    fn initial_time(&self) -> f64 {
+        self.initial_time
+    }
+
+    fn theta_dt(&self) -> Option<f64> {
+        Some(self.solver.dt)
+    }
+
+    fn solve_until(&self, t_end: f64) -> Result<PdeSolution> {
+        VariableDlModel::solve_until(self, t_end)
+    }
+
+    fn start(&self, t_end: f64) -> Result<(Vec<f64>, f64, Vec<f64>)> {
         let (lo, hi) = self.domain;
-        let (xs, dx) = grid(lo, hi, &self.solver, self.initial_time, t_end)?;
-        let u0 = xs.iter().map(|&x| self.phi.value(x)).collect();
+        start(lo, hi, &self.phi, &self.solver, self.initial_time, t_end)
+    }
+
+    fn advance(
+        &self,
+        xs: &[f64],
+        dx: f64,
+        u: &mut Vec<f64>,
+        first_step: usize,
+        t_end: f64,
+        observe: Observer<'_>,
+    ) -> Result<()> {
         // Face-centred diffusivities d_{j+1/2}, constant in time.
         let faces: Vec<f64> = xs
             .windows(2)
             .map(|w| self.diffusion.value(0.5 * (w[0] + w[1]), self.initial_time))
             .collect();
         solve_theta(
-            &xs,
-            u0,
+            xs,
+            u,
+            first_step,
             self.initial_time,
             t_end,
             self.solver.dt,
             0.5,
             FaceDiffusion(&faces, 1.0 / (dx * dx)),
             |t, r: &mut Vec<f64>, k: &mut Vec<f64>| {
-                self.growth.fill(&xs, t, r);
-                self.capacity.fill(&xs, t, k);
+                self.growth.fill(xs, t, r);
+                self.capacity.fill(xs, t, k);
             },
+            observe,
         )
-    }
-
-    /// Predicts densities at integer distances and hours, like
-    /// [`crate::model::DlModel::predict`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`crate::model::DlModel::predict`].
-    pub fn predict(&self, distances: &[u32], hours: &[u32]) -> Result<Prediction> {
-        Prediction::solve_and_read(self.initial_time, distances, hours, |t| self.solve_until(t))
     }
 }
 

@@ -2,8 +2,11 @@
 //! textbook rates on the paper's actual problem, measured with the
 //! Richardson tooling from `dlm-numerics`.
 
+use dlm_cascade::hops::hop_density_matrix;
+use dlm_cascade::DensityMatrix;
 use dlm_core::growth::ExpDecayGrowth;
 use dlm_core::initial::{InitialDensity, PhiConstruction};
+use dlm_core::model::{DlModelBuilder, Prediction};
 use dlm_core::params::DlParameters;
 use dlm_core::pde::{solve, PdeSolution, SolverConfig, SolverMethod};
 use dlm_core::predict::{Observation, PredictionRequest};
@@ -12,7 +15,11 @@ use dlm_core::variable::{
     ConstantField, PerDistanceGrowth, SeparableField, TimeOnlyField, VariableDlModel,
     VariableDlModelBuilder,
 };
+use dlm_data::simulate::simulate_story;
+use dlm_data::{SimulationConfig, StoryPreset, SyntheticWorld, WorldConfig};
 use dlm_numerics::convergence::convergence_study;
+use proptest::prelude::*;
+use std::sync::OnceLock;
 
 const OBS: [f64; 6] = [2.1, 0.7, 0.9, 0.5, 0.3, 0.2];
 
@@ -325,4 +332,180 @@ fn served_lineup_fits_are_bit_stable() {
     let fitted = registry.build(&spec).unwrap().fit(&observation).unwrap();
     let hash = fnv1a_bits(fitted.params());
     assert_eq!(hash, 0x9bfc_9837_8a9a_62f8, "dl-cal: {hash:#018x}");
+}
+
+/// Latest hour the prefix pins request.
+const PIN_HORIZON: u32 = 9;
+
+/// Hop-density matrices of stories s1 and s2 over hours 1–5, each
+/// simulated once on a small synthetic world, with the first hour each
+/// carries signal at: s2 reaches the front page only at hour 2.
+fn story_matrices() -> &'static [(DensityMatrix, u32); 2] {
+    static MATRICES: OnceLock<[(DensityMatrix, u32); 2]> = OnceLock::new();
+    MATRICES.get_or_init(|| {
+        let world = SyntheticWorld::generate(WorldConfig::default().scaled(0.12)).unwrap();
+        let config = SimulationConfig {
+            hours: 5,
+            substeps: 2,
+            seed: 13,
+        };
+        [(StoryPreset::s1(), 1), (StoryPreset::s2(), 2)].map(|(preset, first)| {
+            let cascade = simulate_story(&world, &preset, config).unwrap();
+            (
+                hop_density_matrix(world.graph(), &cascade, 5, 5).unwrap(),
+                first,
+            )
+        })
+    })
+}
+
+/// Bit patterns of every cell of a prediction, distance-major.
+fn cell_bits(prediction: &Prediction) -> Vec<(u32, u32, u64)> {
+    prediction
+        .distances()
+        .iter()
+        .flat_map(|&d| prediction.hours().iter().map(move |&h| (d, h)))
+        .map(|(d, h)| (d, h, prediction.at(d, h).unwrap().to_bits()))
+        .collect()
+}
+
+/// A result's cells or its error, in a form two results compare on bit
+/// for bit (an `OutOfDomain` error keeps its axis, value and range).
+fn outcome(result: dlm_core::Result<Prediction>) -> Result<Vec<(u32, u32, u64)>, String> {
+    result.as_ref().map(cell_bits).map_err(|e| format!("{e:?}"))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// A fitted DL model answers the same bits whatever it was asked
+    /// before: every default-lineup DL spec, warmed by a random sequence
+    /// of longer and shorter requests (plus one out-of-domain distance
+    /// and one pre-initial hour), must agree with fresh fits on every
+    /// cell and on every error.
+    #[test]
+    fn warm_predictions_match_fresh_fits(
+        story in 0usize..2,
+        observed in 1u32..=3,
+        requests in prop::collection::vec(prop::collection::vec(1u32..=PIN_HORIZON, 1..6), 1..6),
+        h_offset in 0u32..PIN_HORIZON,
+        bad_at in 0usize..6,
+    ) {
+        let registry = ModelRegistry::with_builtins();
+        let (matrix, first) = &story_matrices()[story];
+        let through = first + observed;
+        let hours: Vec<u32> = (*first..=through).collect();
+        let observation = Observation::from_matrix(matrix, &hours).unwrap();
+        let distances: Vec<u32> = (1..=observation.max_distance()).collect();
+        let h = through + 1 + h_offset % (PIN_HORIZON - through);
+        let request =
+            |ds: &[u32], hs: &[u32]| PredictionRequest::new(ds.to_vec(), hs.to_vec()).unwrap();
+        // Request hours in random order from the initial hour on,
+        // duplicates dropped; a request ending at the initial hour is a φ
+        // readback, not a solve, so each one reaches past it.
+        let mut sequence: Vec<PredictionRequest> = requests
+            .iter()
+            .map(|hs| {
+                let mut unique: Vec<u32> = Vec::new();
+                for x in hs.iter().map(|&x| x.max(*first)) {
+                    if !unique.contains(&x) {
+                        unique.push(x);
+                    }
+                }
+                if unique == [*first] {
+                    unique.push(first + 1);
+                }
+                request(&distances, &unique)
+            })
+            .collect();
+        let beyond = observation.max_distance() + 1;
+        let bad = [
+            request(&[1, beyond], &[PIN_HORIZON, 2]),
+            request(&distances, &[0, PIN_HORIZON - 1]),
+        ];
+        let at = bad_at.min(sequence.len());
+        sequence.splice(at..at, bad.iter().cloned());
+
+        for spec in ModelSpec::default_lineup() {
+            let predictor = registry.build(&spec).unwrap();
+            if !["dl", "dl-cal", "variable-dl"].contains(&predictor.name()) {
+                continue;
+            }
+            let fit = || predictor.fit(&observation);
+            let warm = fit().unwrap();
+            let everything: Vec<u32> = (*first..=PIN_HORIZON).collect();
+            let reference = fit().unwrap().predict(&request(&distances, &everything)).unwrap();
+            for req in &sequence {
+                let got = outcome(warm.predict(req));
+                if bad.contains(req) {
+                    prop_assert_eq!(&got, &outcome(fit().unwrap().predict(req)), "{spec}: {req:?}");
+                    continue;
+                }
+                for (d, hour, bits) in got.unwrap() {
+                    prop_assert_eq!(
+                        bits,
+                        reference.at(d, hour).unwrap().to_bits(),
+                        "{spec}: ({d}, {hour}) in {req:?}"
+                    );
+                }
+            }
+            let single = request(&distances, &[h]);
+            let warm_h = cell_bits(&warm.predict(&single).unwrap());
+            let fresh_h = cell_bits(&fit().unwrap().predict(&single).unwrap());
+            prop_assert_eq!(&warm_h, &fresh_h, "{spec}: h = {h}");
+            let tail: Vec<u32> = (through + 1..=PIN_HORIZON).collect();
+            let fresh_tail = fit().unwrap().predict(&request(&distances, &tail)).unwrap();
+            for (d, hour, bits) in warm_h {
+                let fresh = fresh_tail.at(d, hour).unwrap().to_bits();
+                prop_assert_eq!(bits, fresh, "{spec}: tail ({d}, {hour})");
+            }
+        }
+
+        // The paper's models, asked the same sequence, against a fresh
+        // recorded solve read cell by cell: the absolute reference, which
+        // also pins the errors' ranges.
+        let initial = observation.initial_profile();
+        let dl = DlModelBuilder::new(DlParameters::paper_hops(observation.max_distance()).unwrap())
+            .initial_time(f64::from(*first))
+            .build(initial)
+            .unwrap();
+        let variable = VariableDlModelBuilder::new(1.0, f64::from(observation.max_distance()))
+            .unwrap()
+            .initial_time(f64::from(*first))
+            .build(initial)
+            .unwrap();
+        for req in &sequence {
+            let t_end = f64::from(req.max_hour());
+            prop_assert_eq!(
+                outcome(dl.predict(req.distances(), req.hours())),
+                recorded(dl.solve_until(t_end), req),
+                "dl model: {:?}", req
+            );
+            prop_assert_eq!(
+                outcome(variable.predict(req.distances(), req.hours())),
+                recorded(variable.solve_until(t_end), req),
+                "variable model: {:?}", req
+            );
+        }
+    }
+}
+
+/// What `predict` answers from a fresh solve to the request's latest
+/// hour: every cell read with `value_at`, distance-major, stopping at the
+/// first error.
+fn recorded(
+    solution: dlm_core::Result<PdeSolution>,
+    request: &PredictionRequest,
+) -> Result<Vec<(u32, u32, u64)>, String> {
+    let solution = solution.map_err(|e| format!("{e:?}"))?;
+    let mut cells = Vec::new();
+    for &d in request.distances() {
+        for &h in request.hours() {
+            let value = solution
+                .value_at(f64::from(d), f64::from(h))
+                .map_err(|e| format!("{e:?}"))?;
+            cells.push((d, h, value.to_bits()));
+        }
+    }
+    Ok(cells)
 }
