@@ -43,13 +43,6 @@ pub enum NumericsError {
         /// Residual or error estimate at the final iterate.
         residual: f64,
     },
-    /// A bracketing method was given an interval that does not bracket a root.
-    InvalidBracket {
-        /// Function value at the lower end.
-        f_lo: f64,
-        /// Function value at the upper end.
-        f_hi: f64,
-    },
     /// A parameter was outside its mathematically valid domain.
     InvalidParameter {
         /// Name of the parameter.
@@ -92,12 +85,6 @@ impl fmt::Display for NumericsError {
                 write!(
                     f,
                     "{algorithm} did not converge after {iterations} iterations (residual {residual:.3e})"
-                )
-            }
-            NumericsError::InvalidBracket { f_lo, f_hi } => {
-                write!(
-                    f,
-                    "interval does not bracket a root: f(lo) = {f_lo:.3e}, f(hi) = {f_hi:.3e}"
                 )
             }
             NumericsError::InvalidParameter { name, reason } => {

@@ -16,9 +16,9 @@
 //! * [`spline`] — natural/clamped cubic splines and monotone PCHIP (the
 //!   paper's φ construction).
 //! * [`interp`] — piecewise-linear interpolation and resampling.
-//! * [`ode`] — RK4, adaptive Dormand–Prince 4(5), backward Euler (method of
-//!   lines time stepping).
-//! * [`rootfind`] — bisection, Newton, Brent.
+//! * [`ode`] — RK4 and adaptive Dormand–Prince 4(5), the method-of-lines
+//!   cross-checks behind `dlm_core::pde::solve` (RK4 also integrates the
+//!   ODE baselines); `backward_euler` has no caller in the workspace.
 //! * [`optimize`] — Nelder–Mead, golden section, grid search, and
 //!   deterministic pool-parallel multi-start search (parameter
 //!   calibration).
@@ -27,7 +27,6 @@
 //! * [`pool`] — scoped work-stealing executor for embarrassingly parallel
 //!   grids (batch evaluation).
 //! * [`least_squares`] — Levenberg–Marquardt (growth-rate curve fits).
-//! * [`quadrature`] — trapezoid and Simpson rules.
 //! * [`stats`] — descriptive statistics and the paper's Eq.-8 accuracy.
 //! * [`convergence`] — observed-order studies and Richardson extrapolation.
 //!
@@ -70,8 +69,6 @@ pub mod mix;
 pub mod ode;
 pub mod optimize;
 pub mod pool;
-pub mod quadrature;
-pub mod rootfind;
 pub mod spline;
 pub mod stats;
 pub mod tridiag;

@@ -1,8 +1,10 @@
 //! Descriptive statistics and error metrics.
 //!
-//! The experiment harness reports the paper's Eq.-8 prediction accuracy plus
-//! standard regression metrics (MAE, RMSE, MAPE) for the baseline
-//! comparisons; this module hosts the shared numeric kernels.
+//! The workspace's callers use two of these kernels: the paper's Eq.-8
+//! prediction accuracy (scored by `dlm_core::accuracy` and perfbench's bit
+//! checks) and the least-squares line behind the vote timeline's die-off
+//! fit in `dlm_cascade`. The rest (moments, percentiles, MAE/RMSE/MAPE,
+//! Pearson) are general-purpose helpers covered by their own tests.
 
 use crate::error::{NumericsError, Result};
 
@@ -35,13 +37,16 @@ pub fn std_dev(xs: &[f64]) -> Option<f64> {
 
 /// Linear-interpolated percentile (`q` in `[0, 100]`). `None` for empty
 /// input or out-of-range `q`.
+///
+/// Values are ordered by [`f64::total_cmp`], so a NaN sorts above +∞ (a
+/// sign-bit NaN below −∞) instead of making the order inconsistent.
 #[must_use]
 pub fn percentile(xs: &[f64], q: f64) -> Option<f64> {
     if xs.is_empty() || !(0.0..=100.0).contains(&q) {
         return None;
     }
     let mut sorted = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+    sorted.sort_by(f64::total_cmp);
     let rank = q / 100.0 * (sorted.len() - 1) as f64;
     let lo = rank.floor() as usize;
     let hi = rank.ceil() as usize;
@@ -234,6 +239,24 @@ mod tests {
     fn percentile_unsorted_input_ok() {
         let xs = [4.0, 1.0, 3.0, 2.0];
         assert_eq!(median(&xs), Some(2.5));
+    }
+
+    #[test]
+    fn percentile_sorts_nan_above_every_number() {
+        // A comparator that calls NaN equal to everything is not a total
+        // order, and the std sort panics on this input when given one.
+        let xs: Vec<f64> = (0..21)
+            .map(|i| {
+                if i % 3 == 0 {
+                    f64::NAN
+                } else {
+                    (21 - i) as f64
+                }
+            })
+            .collect();
+        assert_eq!(percentile(&xs, 0.0), Some(1.0));
+        assert_eq!(median(&xs), Some(16.0));
+        assert!(percentile(&xs, 100.0).is_some_and(f64::is_nan));
     }
 
     #[test]

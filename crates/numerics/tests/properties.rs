@@ -7,8 +7,6 @@ use dlm_numerics::interp::LinearInterp;
 use dlm_numerics::linalg::Matrix;
 use dlm_numerics::ode::rk4;
 use dlm_numerics::optimize::stratified_starts;
-use dlm_numerics::quadrature::trapezoid;
-use dlm_numerics::rootfind::{brent, RootConfig};
 use dlm_numerics::spline::{CubicSpline, Pchip};
 use dlm_numerics::stats::{mean, prediction_accuracy, std_dev};
 use dlm_numerics::tridiag::{solve_thomas, solve_thomas_into, TridiagonalMatrix};
@@ -155,31 +153,12 @@ proptest! {
     }
 
     #[test]
-    fn trapezoid_is_linear_in_values(xs in knots(2, 8)) {
-        let n = xs.len();
-        let y1: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
-        let y2: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).cos()).collect();
-        let sum: Vec<f64> = y1.iter().zip(&y2).map(|(a, b)| a + b).collect();
-        let t1 = trapezoid(&xs, &y1).unwrap();
-        let t2 = trapezoid(&xs, &y2).unwrap();
-        let ts = trapezoid(&xs, &sum).unwrap();
-        prop_assert!((t1 + t2 - ts).abs() < 1e-9);
-    }
-
-    #[test]
     fn rk4_linear_system_matches_exponential(lambda in -3.0f64..0.5, y0 in 0.1f64..5.0) {
         let sys = (move |_t: f64, y: &[f64], dy: &mut [f64]| dy[0] = lambda * y[0], 1usize);
         let traj = rk4(&sys, 0.0, 2.0, &[y0], 400).unwrap();
         let (_, y) = traj.last().unwrap();
         let exact = y0 * (lambda * 2.0).exp();
         prop_assert!((y[0] - exact).abs() < 1e-6 * exact.abs().max(1.0));
-    }
-
-    #[test]
-    fn brent_finds_root_of_shifted_cubic(shift in -5.0f64..5.0) {
-        let f = move |x: f64| (x - shift) * ((x - shift) * (x - shift) + 1.0);
-        let r = brent(f, shift - 10.0, shift + 10.0, RootConfig::default()).unwrap();
-        prop_assert!((r - shift).abs() < 1e-6);
     }
 
     #[test]
