@@ -12,7 +12,9 @@
 //!   single-start seed).
 //!
 //! and writes the timings to `BENCH_calibration.json` (override with
-//! `DLM_BENCH_OUT`). `speedup_parallel_multi` — serial multi-start ÷
+//! `DLM_BENCH_OUT`), with each method's mean objective and mean θ-solves
+//! per fit, so the quality of a change to the search shows next to its
+//! speed. `speedup_parallel_multi` — serial multi-start ÷
 //! parallel multi-start wall-clock — is the headline number: the starts
 //! are embarrassingly parallel, so on `>= 4` cores it should sit well
 //! above 2x.
@@ -87,12 +89,19 @@ fn mean_objective(t: &Timed) -> f64 {
     t.calibrations.iter().map(|c| c.objective).sum::<f64>() / t.calibrations.len() as f64
 }
 
+/// Mean θ-solves per calibration (across its starts).
+fn mean_evaluations(t: &Timed) -> f64 {
+    t.calibrations.iter().map(|c| c.evaluations).sum::<usize>() as f64 / t.calibrations.len() as f64
+}
+
 fn json_run(t: &Timed) -> String {
     format!(
-        "{{\"ms\": {:.3}, \"mean_objective\": {:e}, \"evaluations\": {}}}",
+        "{{\"ms\": {:.3}, \"mean_objective\": {:e}, \"evaluations\": {}, \
+         \"mean_evaluations\": {:.1}}}",
         t.millis,
         mean_objective(t),
-        t.calibrations.iter().map(|c| c.evaluations).sum::<usize>()
+        t.calibrations.iter().map(|c| c.evaluations).sum::<usize>(),
+        mean_evaluations(t),
     )
 }
 
@@ -186,17 +195,18 @@ fn main() {
     let out = artifact::bench_out("BENCH_calibration.json");
     artifact::write(&out, &json).expect("valid calibration artifact");
 
-    eprintln!(
-        "single-start    {:>9.1} ms   mean objective {:.3e}\n\
-         multi serial    {:>9.1} ms   mean objective {:.3e}\n\
-         multi parallel  {:>9.1} ms   mean objective {:.3e}",
-        single.millis,
-        mean_objective(&single),
-        serial_multi.millis,
-        mean_objective(&serial_multi),
-        parallel_multi.millis,
-        mean_objective(&parallel_multi),
-    );
+    for (label, run) in [
+        ("single-start", &single),
+        ("multi serial", &serial_multi),
+        ("multi parallel", &parallel_multi),
+    ] {
+        eprintln!(
+            "{label:<15} {:>9.1} ms   mean objective {:.3e}   {:.1} solves per fit",
+            run.millis,
+            mean_objective(run),
+            mean_evaluations(run),
+        );
+    }
     eprintln!(
         "speedup: parallel multi-start {speedup:.2}x, objective improvement \
          {improvement:.2}x -> {out}"

@@ -103,6 +103,11 @@ impl LogisticOnly {
     /// Predicts densities at integer distances/hours by integrating the
     /// per-distance logistic ODE.
     ///
+    /// Every requested distance is one component of a single RK4 system
+    /// with `r(t)` evaluated once per stage: RK4 is componentwise and the
+    /// step count depends only on the latest hour, so each distance's
+    /// values are bit for bit those of integrating it alone.
+    ///
     /// # Errors
     ///
     /// * [`DlError::InvalidParameter`] — distance outside the profile or
@@ -119,47 +124,56 @@ impl LogisticOnly {
                 reason: "must extend beyond the initial time".into(),
             });
         }
-        let k = self.capacity;
-        let mut values = Vec::with_capacity(distances.len());
-        for &d in distances {
-            let idx = (d as usize)
-                .checked_sub(1)
-                .filter(|&i| i < self.initial.len())
-                .ok_or(DlError::InvalidParameter {
-                    name: "distances",
-                    reason: format!("distance {d} outside the initial profile"),
-                })?;
-            let y0 = self.initial[idx];
-            let growth = &self.growth;
-            let sys = (
-                move |t: f64, y: &[f64], dy: &mut [f64]| {
-                    dy[0] = growth.rate(t) * y[0] * (1.0 - y[0] / k);
-                },
-                1usize,
-            );
-            let steps = ((t_max - self.initial_time) / 0.005).ceil() as usize;
-            let traj = rk4(&sys, self.initial_time, t_max, &[y0], steps.max(1))?;
-            // Sample the trajectory at each requested hour.
-            let mut row = Vec::with_capacity(hours.len());
-            for &h in hours {
-                let t = f64::from(h);
-                let v = sample_trajectory(traj.times(), traj.states(), t);
-                row.push(v);
-            }
-            values.push(row);
+        let y0: Vec<f64> = distances
+            .iter()
+            .map(|&d| {
+                (d as usize)
+                    .checked_sub(1)
+                    .and_then(|i| self.initial.get(i).copied())
+                    .ok_or(DlError::InvalidParameter {
+                        name: "distances",
+                        reason: format!("distance {d} outside the initial profile"),
+                    })
+            })
+            .collect::<Result<_>>()?;
+        if y0.is_empty() {
+            return Prediction::from_values(Vec::new(), hours.to_vec(), Vec::new());
         }
+        let (k, growth) = (self.capacity, &self.growth);
+        let sys = (
+            move |t: f64, y: &[f64], dy: &mut [f64]| {
+                let r = growth.rate(t);
+                for (dyi, &yi) in dy.iter_mut().zip(y) {
+                    *dyi = r * yi * (1.0 - yi / k);
+                }
+            },
+            y0.len(),
+        );
+        let steps = ((t_max - self.initial_time) / 0.005).ceil() as usize;
+        let traj = rk4(&sys, self.initial_time, t_max, &y0, steps.max(1))?;
+        // Sample the trajectory at each requested hour.
+        let values = (0..y0.len())
+            .map(|i| {
+                hours
+                    .iter()
+                    .map(|&h| sample_trajectory(traj.times(), traj.states(), i, f64::from(h)))
+                    .collect()
+            })
+            .collect();
         Prediction::from_values(distances.to_vec(), hours.to_vec(), values)
     }
 }
 
-fn sample_trajectory(times: &[f64], states: &[Vec<f64>], t: f64) -> f64 {
+/// Component `i` of a recorded trajectory at `t`, linear between steps
+/// and clamped to its ends.
+fn sample_trajectory(times: &[f64], states: &[Vec<f64>], i: usize, t: f64) -> f64 {
     match times.binary_search_by(|v| v.total_cmp(&t)) {
-        Ok(i) => states[i][0],
-        Err(0) => states[0][0],
-        Err(i) if i >= times.len() => states[times.len() - 1][0],
-        Err(i) => {
-            let w = (t - times[i - 1]) / (times[i] - times[i - 1]);
-            states[i - 1][0] * (1.0 - w) + states[i][0] * w
+        Ok(s) => states[s][i],
+        Err(0) => states[0][i],
+        Err(s) if s >= times.len() => states[times.len() - 1][i],
+        Err(s) => {
+            let w = (t - times[s - 1]) / (times[s] - times[s - 1]);
+            states[s - 1][i] * (1.0 - w) + states[s][i] * w
         }
     }
 }
@@ -636,6 +650,71 @@ mod tests {
     use dlm_graph::GraphBuilder;
 
     const OBS: [f64; 5] = [2.1, 0.7, 0.9, 0.5, 0.3];
+
+    /// The per-distance integration `LogisticOnly::predict` replaced:
+    /// one scalar RK4 per distance.
+    fn per_distance(model: &LogisticOnly, distances: &[u32], hours: &[u32]) -> Vec<Vec<u64>> {
+        let t_max = f64::from(*hours.iter().max().unwrap());
+        let k = model.capacity;
+        distances
+            .iter()
+            .map(|&d| {
+                let growth = &model.growth;
+                let sys = (
+                    move |t: f64, y: &[f64], dy: &mut [f64]| {
+                        dy[0] = growth.rate(t) * y[0] * (1.0 - y[0] / k);
+                    },
+                    1usize,
+                );
+                let steps = ((t_max - model.initial_time) / 0.005).ceil() as usize;
+                let y0 = model.initial[d as usize - 1];
+                let traj = rk4(&sys, model.initial_time, t_max, &[y0], steps.max(1)).unwrap();
+                hours
+                    .iter()
+                    .map(|&h| {
+                        sample_trajectory(traj.times(), traj.states(), 0, f64::from(h)).to_bits()
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn logistic_only_matches_per_distance_integration_bit_for_bit() {
+        let profile = [2.1, 0.7, 0.9, 0.5, 0.3, 0.2, 24.0, 0.0];
+        for (initial_time, hours) in [
+            (1.0, vec![2, 3]),
+            (1.0, vec![2, 4, 6, 9]),
+            (2.0, vec![3, 8, 5, 24]),
+            (3.0, vec![4]),
+        ] {
+            let model =
+                LogisticOnly::new(&profile, ExpDecayGrowth::paper_hops(), 25.0, initial_time)
+                    .unwrap();
+            for distances in [
+                vec![1],
+                vec![1, 2, 3, 4, 5, 6],
+                vec![8, 3, 3, 7],
+                vec![6, 1],
+            ] {
+                let got = model.predict(&distances, &hours).unwrap();
+                let bits: Vec<Vec<u64>> = distances
+                    .iter()
+                    .map(|&d| {
+                        hours
+                            .iter()
+                            .map(|&h| got.at(d, h).unwrap().to_bits())
+                            .collect()
+                    })
+                    .collect();
+                assert_eq!(
+                    bits,
+                    per_distance(&model, &distances, &hours),
+                    "t0 {initial_time}, hours {hours:?}, distances {distances:?}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn logistic_only_matches_closed_form_with_constant_rate() {

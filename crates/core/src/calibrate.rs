@@ -4,20 +4,28 @@
 //! from inspection of the data, and names "developing new models that
 //! consider diffusion rate, growth rate and carrying capacity as functions
 //! of time and distance" as future work. This module automates the scalar
-//! part: a Nelder–Mead search over `(d, a, b, c[, K])` — with
-//! `r(t) = a·e^{−b(t−1)} + c` — minimizing the mean squared *relative*
-//! error of the DL solution against observed density profiles on a short
-//! calibration window.
+//! part: it fits `(a, b, c, d[, K])` — with `r(t) = a·e^{−b(t−1)} + c` —
+//! minimizing the mean squared *relative* error of the DL solution against
+//! observed density profiles on a short calibration window.
 //!
-//! Nelder–Mead is a *local* search; with [`MultiStartConfig::starts`]
-//! above 1 the search restarts from a deterministic stratified grid of
-//! seed points inside the parameter bounds and the independent starts
-//! run in parallel on the [`dlm_numerics::pool`] executor. The result is
-//! byte-identical under every
+//! The search is Levenberg–Marquardt over the box `a, b, c ≥ 0`,
+//! `0 ≤ d ≤ max_diffusion`, `1.05·max φ observation ≤ K ≤ max_capacity`
+//! ([`dlm_numerics::least_squares::levenberg_marquardt_in_box`]). Each
+//! residual is one target cell's relative error, and its Jacobian comes
+//! from the forward sensitivities of the Crank–Nicolson solve
+//! ([`crate::pde::solve_sensitivities`]'s tangent), so one θ-solve gives
+//! the residuals and the Jacobian together. [`CalibrationOptions::max_evals`]
+//! caps those solves per start.
+//!
+//! Levenberg–Marquardt is a *local* search; with
+//! [`MultiStartConfig::starts`] above 1 it restarts from a deterministic
+//! stratified grid of seed points inside the parameter bounds and the
+//! independent starts run in parallel on the [`dlm_numerics::pool`]
+//! executor. The result is byte-identical under every
 //! [`Parallelism`](dlm_numerics::pool::Parallelism) setting and its
 //! objective is never worse than the single-start fit from the same
 //! seed (the caller's seed always runs as start 0). The objective,
-//! seeding boxes, budgets and determinism contract are specified
+//! boxes, stopping rule, budgets and determinism contract are specified
 //! normatively in `docs/CALIBRATION.md`.
 //!
 //! # Examples
@@ -34,7 +42,7 @@
 //! let initial = [2.0, 1.1, 0.6, 0.3];
 //! let targets = vec![(2, vec![3.4, 1.9, 1.1, 0.6]), (3, vec![5.1, 3.0, 1.8, 1.0])];
 //! let options = CalibrationOptions {
-//!     max_evals: 60, // per-start budget
+//!     max_evals: 60, // per-start budget of θ-solves
 //!     multi_start: MultiStartConfig { starts: 3, seed: 7, ..MultiStartConfig::default() },
 //!     ..CalibrationOptions::default()
 //! };
@@ -56,10 +64,13 @@ use crate::growth::ExpDecayGrowth;
 use crate::initial::{InitialDensity, PhiConstruction};
 use crate::model::{DlModel, DlModelBuilder};
 use crate::params::DlParameters;
-use crate::pde::{interp_row, solve_observed, SolverConfig};
+use crate::pde::{interp_row, solve_tangent, start, Parameter, SolverConfig};
 use dlm_cascade::DensityMatrix;
-use dlm_numerics::optimize::{multi_start_nelder_mead, NelderMeadConfig};
+use dlm_numerics::least_squares::{levenberg_marquardt_in_box, JacobianProblem, LmConfig};
+use dlm_numerics::linalg::Matrix;
+use dlm_numerics::optimize::{multi_start, Minimum};
 pub use dlm_numerics::optimize::{MultiStartConfig, MultiStartOutcome};
+use dlm_numerics::NumericsError;
 
 /// What the calibration is allowed to vary.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -72,16 +83,17 @@ pub struct CalibrationOptions {
     pub max_diffusion: f64,
     /// Upper bound for `K` during the search.
     pub max_capacity: f64,
-    /// Nelder–Mead budget **per start**.
+    /// Budget of θ-solves **per start**; each solve yields the residuals
+    /// and their Jacobian at one point.
     pub max_evals: usize,
     /// Solver resolution used inside the objective (coarser than the final
-    /// solve for speed).
+    /// solve for speed). Must be a θ method (Crank–Nicolson or backward
+    /// Euler): the Jacobian is that scheme's tangent.
     pub solver: SolverConfig,
     /// Multi-start strategy: start count, deterministic seeding, and
     /// scheduling of the independent starts on the work-stealing pool.
-    /// (`multi_start.local.max_evals` is overridden by
-    /// [`CalibrationOptions::max_evals`].) The single-start default
-    /// reproduces the classic seeded Nelder–Mead exactly.
+    /// (`multi_start.local` configures Nelder–Mead and is not read here.)
+    /// The single-start default runs one search from the caller's seed.
     pub multi_start: MultiStartConfig,
 }
 
@@ -103,6 +115,26 @@ impl Default for CalibrationOptions {
     }
 }
 
+/// Levenberg–Marquardt stopping rule of every start (see
+/// `docs/CALIBRATION.md` §2). A window with more residual cells than
+/// parameters stops once its last [`STALL_WINDOW`] accepted steps together
+/// lowered the objective by no more than [`STALL_GAIN`] plus
+/// [`STALL_SHARE`] of itself. One with no more cells than parameters
+/// cannot identify every parameter, so it stops at the first accepted
+/// step that lowers the objective by no more than
+/// [`UNDERDETERMINED_SHARE`] of itself, close to its seed. Either also
+/// stops on an accepted step that moves no parameter by more than
+/// [`STEP_TOLERANCE`] of itself.
+const STALL_WINDOW: usize = 20;
+/// See [`STALL_WINDOW`]: the simplex's old `f_tol`.
+const STALL_GAIN: f64 = 1e-10;
+/// See [`STALL_WINDOW`].
+const STALL_SHARE: f64 = 1e-3;
+/// See [`STALL_WINDOW`].
+const UNDERDETERMINED_SHARE: f64 = 1e-4;
+/// See [`STALL_WINDOW`].
+const STEP_TOLERANCE: f64 = 1e-10;
+
 /// The outcome of a calibration run.
 #[derive(Debug, Clone)]
 pub struct Calibration {
@@ -112,9 +144,9 @@ pub struct Calibration {
     pub growth: ExpDecayGrowth,
     /// Final objective value (mean squared relative error).
     pub objective: f64,
-    /// Objective evaluations consumed (across all starts).
+    /// θ-solves consumed (across all starts).
     pub evaluations: usize,
-    /// Number of Nelder–Mead starts searched.
+    /// Number of starts searched.
     pub starts: usize,
     /// Index of the winning start (`0` is the caller's seed; `1..` are
     /// the stratified grid points, see `docs/CALIBRATION.md`).
@@ -182,12 +214,15 @@ pub fn calibrate(
 /// φ is built from `initial_profile` (observed at `initial_hour`); the
 /// objective compares the DL solution against each `(hour, profile)` in
 /// `targets` (every hour must be after `initial_hour`). `seed_params` /
-/// `seed_growth` seed the search (the paper presets are good seeds).
+/// `seed_growth` seed the search (the paper presets are good seeds); a
+/// seed outside the search box is projected into it first, so a seed
+/// capacity at or below the data starts at `1.05·max φ observation`.
 ///
 /// # Errors
 ///
-/// * [`DlError::InvalidParameter`] — empty/invalid targets.
-/// * Propagates optimizer errors.
+/// * [`DlError::InvalidParameter`] — empty/invalid targets, or an
+///   explicit solver method.
+/// * Propagates φ-construction, grid and optimizer errors.
 pub fn calibrate_profiles(
     initial_hour: u32,
     initial_profile: &[f64],
@@ -208,190 +243,336 @@ pub fn calibrate_profiles(
             reason: format!("every fit hour must exceed the initial hour {initial_hour}"),
         });
     }
-    let initial_profile = initial_profile.to_vec();
-    let targets = targets.to_vec();
+    if !options.solver.method.is_theta() {
+        return Err(DlError::InvalidParameter {
+            name: "solver",
+            reason: "calibration differentiates the θ-scheme: use CrankNicolson or \
+                     BackwardEuler"
+                .into(),
+        });
+    }
+    let t_start = f64::from(initial_hour);
     let t_end = f64::from(targets.iter().map(|&(h, _)| h).max().expect("nonempty"));
+    // φ depends only on the profile and the domain, which no fitted
+    // parameter moves: one grid and one initial field serve every solve.
+    let phi = InitialDensity::from_observations(
+        &seed_params,
+        initial_profile,
+        PhiConstruction::SplineFlat,
+    )?;
+    let (xs, dx, u0) = start(
+        seed_params.lower(),
+        seed_params.upper(),
+        &phi,
+        &options.solver,
+        t_start,
+        t_end,
+    )?;
+    let max_obs = initial_profile.iter().cloned().fold(0.0, f64::max);
 
-    // Parameter vector: [a, b, c, d?, K?] depending on options.
+    // Parameter vector: [a, b, c, d?, K?] depending on options, with the
+    // box the search stays in and the seeding box of its restarts
+    // (docs/CALIBRATION.md §1 and §3). A non-finite cap (a caller
+    // disabling the `d`/`K` constraint with `f64::INFINITY`) leaves the
+    // search box open on that side and falls back to a seed-derived
+    // seeding edge.
+    let mut wrt = vec![Parameter::Amplitude, Parameter::Decay, Parameter::Floor];
     let mut x0 = vec![
         seed_growth.amplitude(),
         seed_growth.decay(),
         seed_growth.floor(),
     ];
-    if options.fit_diffusion {
-        x0.push(seed_params.diffusion());
-    }
-    if options.fit_capacity {
-        x0.push(seed_params.capacity());
-    }
-
-    // Seeding boxes for the stratified multi-start grid, sized from the
-    // caller's seed and the hard bounds the objective enforces (see
-    // docs/CALIBRATION.md §Multi-start seeding). Start 0 is always the
-    // caller's seed itself, so these only shape the restarts. A
-    // non-finite cap (a caller disabling the `d`/`K` constraint with
-    // `f64::INFINITY`) falls back to a seed-derived box edge — the hard
-    // constraints in the objective stay authoritative either way.
-    let mut bounds = vec![
+    let mut search_box = vec![(0.0, f64::INFINITY); 3];
+    let mut seeding_box = vec![
         (0.0, 2.0 * seed_growth.amplitude().max(1.0)),
         (0.0, 2.0 * seed_growth.decay().max(1.0)),
         (0.0, 2.0 * seed_growth.floor().max(0.5)),
     ];
     if options.fit_diffusion {
+        wrt.push(Parameter::Diffusion);
+        x0.push(seed_params.diffusion());
+        search_box.push((0.0, options.max_diffusion));
         let d_hi = if options.max_diffusion.is_finite() {
             options.max_diffusion
         } else {
             (2.0 * seed_params.diffusion()).max(1.0)
         };
-        bounds.push((0.0, d_hi));
+        seeding_box.push((0.0, d_hi));
     }
     if options.fit_capacity {
-        let max_obs = initial_profile.iter().cloned().fold(0.0, f64::max);
+        wrt.push(Parameter::Capacity);
+        x0.push(seed_params.capacity());
+        let k_lo = (1.05 * max_obs).max(1e-3).min(options.max_capacity);
+        search_box.push((k_lo, options.max_capacity));
         let k_hi = if options.max_capacity.is_finite() {
             options.max_capacity
         } else {
             (2.0 * seed_params.capacity()).max(4.0 * max_obs).max(1.0)
         };
-        let lo = (1.05 * max_obs).max(1e-3).min(k_hi);
-        bounds.push((lo, k_hi));
+        seeding_box.push((k_lo.min(k_hi), k_hi));
     }
 
-    let opts = *options;
-    let objective = move |p: &[f64]| -> f64 {
-        let (a, b, c) = (p[0], p[1], p[2]);
-        let mut idx = 3;
-        let d = if opts.fit_diffusion {
-            idx += 1;
-            p[idx - 1]
+    let setup = Setup {
+        xs,
+        dx,
+        u0,
+        t_start,
+        t_end,
+        targets,
+        cells: targets
+            .iter()
+            .enumerate()
+            .flat_map(|(target, (_, profile))| {
+                profile
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &actual)| actual != 0.0)
+                    .map(move |(i, &actual)| Cell {
+                        target,
+                        x: seed_params.lower() + i as f64,
+                        actual,
+                    })
+            })
+            .collect(),
+        wrt,
+        seed_params,
+        max_obs,
+        options,
+    };
+    let (m, n) = (setup.cells.len(), setup.wrt.len());
+    let lm = LmConfig {
+        x_tol: STEP_TOLERANCE,
+        max_iter: usize::MAX,
+        max_evals: options.max_evals,
+        ..if m > n {
+            LmConfig {
+                // In the sum of squares, `m` times the objective.
+                f_tol: STALL_GAIN * m as f64,
+                f_rel: STALL_SHARE,
+                window: STALL_WINDOW,
+                ..LmConfig::default()
+            }
         } else {
-            seed_params.diffusion()
-        };
-        let k = if opts.fit_capacity {
-            p[idx]
-        } else {
-            seed_params.capacity()
-        };
-        // Hard constraints via +inf.
-        if !(a >= 0.0 && b >= 0.0 && c >= 0.0 && (0.0..=opts.max_diffusion).contains(&d)) {
-            return f64::INFINITY;
-        }
-        if !(k > 0.0 && k <= opts.max_capacity) {
-            return f64::INFINITY;
-        }
-        let max_obs = initial_profile.iter().cloned().fold(0.0, f64::max);
-        if k <= max_obs {
-            return f64::INFINITY; // capacity below the data is inconsistent
-        }
-        let Ok(params) = DlParameters::new(d, k, seed_params.lower(), seed_params.upper()) else {
-            return f64::INFINITY;
-        };
-        let growth = ExpDecayGrowth::new(a, b, c);
-        let Ok(phi) = InitialDensity::from_observations(
-            &params,
-            &initial_profile,
-            PhiConstruction::SplineFlat,
-        ) else {
-            return f64::INFINITY;
-        };
-        // Each target profile is read as the solve passes its hour, as
-        // `PdeSolution::value_at` reads it, so no step's row is kept. A
-        // target hour the last step stops just short of reads the last row.
-        let mut rows: Vec<Option<Vec<f64>>> = vec![None; targets.len()];
-        let mut t_last = f64::from(initial_hour);
-        let Ok((xs, last)) = solve_observed(
-            &params,
-            &growth,
-            &phi,
-            f64::from(initial_hour),
-            t_end,
-            &opts.solver,
-            &mut |step| {
-                t_last = step.next.0;
-                let (x0, x1) = (step.xs[0], step.xs[step.xs.len() - 1]);
-                for ((h, profile), row) in targets.iter().zip(&mut rows) {
-                    let t = f64::from(*h);
-                    if row.is_none() && t <= t_last {
-                        *row = Some(
-                            (0..profile.len())
-                                .map(|i| step.value((params.lower() + i as f64).clamp(x0, x1), t))
-                                .collect(),
-                        );
-                    }
-                }
-            },
-        ) else {
-            return f64::INFINITY;
-        };
-        let (x0, x1) = (xs[0], xs[xs.len() - 1]);
-        let mut acc = 0.0;
-        let mut count = 0usize;
-        for ((h, profile), row) in targets.iter().zip(&rows) {
-            for (i, &actual) in profile.iter().enumerate() {
-                if actual == 0.0 {
-                    continue;
-                }
-                let x = params.lower() + i as f64;
-                if !(x >= x0 - 1e-9 && x <= x1 + 1e-9) {
-                    return f64::INFINITY;
-                }
-                let pred = match row {
-                    Some(row) => row[i],
-                    None if f64::from(*h) <= t_last + 1e-9 => {
-                        interp_row(&xs, &last, x.clamp(x0, x1))
-                    }
-                    None => return f64::INFINITY,
-                };
-                let rel = (pred - actual) / actual;
-                acc += rel * rel;
-                count += 1;
+            LmConfig {
+                f_tol: 0.0,
+                f_rel: UNDERDETERMINED_SHARE,
+                ..LmConfig::default()
             }
         }
-        if count == 0 {
-            f64::INFINITY
-        } else {
-            acc / count as f64
+    };
+    let search = |seed: &[f64]| -> dlm_numerics::Result<Minimum> {
+        let mut residuals = Residuals::new(&setup);
+        match levenberg_marquardt_in_box(&mut residuals, seed, &search_box, lm) {
+            Ok(fit) => Ok(Minimum {
+                value: if setup.cells.is_empty() {
+                    f64::INFINITY
+                } else {
+                    fit.sum_squares / setup.cells.len() as f64
+                },
+                x: fit.parameters,
+                evaluations: fit.evaluations,
+                converged: fit.converged,
+            }),
+            // A start whose seed has no finite objective ends there.
+            Err(NumericsError::NonFiniteValue { .. }) => Ok(Minimum {
+                x: seed
+                    .iter()
+                    .zip(&search_box)
+                    .map(|(v, &(lo, hi))| v.max(lo).min(hi))
+                    .collect(),
+                value: f64::INFINITY,
+                evaluations: 1,
+                converged: false,
+            }),
+            Err(e) => Err(e),
         }
     };
-
-    let outcome = multi_start_nelder_mead(
-        objective,
-        &x0,
-        &bounds,
-        MultiStartConfig {
-            local: NelderMeadConfig {
-                max_evals: options.max_evals,
-                ..options.multi_start.local
-            },
-            ..options.multi_start
-        },
-    )?;
-    let minimum = &outcome.best;
-
-    let (a, b, c) = (
-        minimum.x[0].max(0.0),
-        minimum.x[1].max(0.0),
-        minimum.x[2].max(0.0),
-    );
-    let mut idx = 3;
-    let d = if options.fit_diffusion {
-        idx += 1;
-        minimum.x[idx - 1].clamp(0.0, options.max_diffusion)
-    } else {
-        seed_params.diffusion()
-    };
-    let k = if options.fit_capacity {
-        minimum.x[idx].clamp(1e-6, options.max_capacity)
-    } else {
-        seed_params.capacity()
-    };
+    let outcome = multi_start(&x0, &seeding_box, &options.multi_start, search)?;
+    let best = &outcome.best.x;
+    let (d, k) = setup.unpack(best);
     Ok(Calibration {
         params: DlParameters::new(d, k, seed_params.lower(), seed_params.upper())?,
-        growth: ExpDecayGrowth::new(a, b, c),
-        objective: minimum.value,
+        growth: ExpDecayGrowth::new(best[0], best[1], best[2]),
+        objective: outcome.best.value,
         evaluations: outcome.evaluations,
         starts: outcome.start_values.len(),
         best_start: outcome.best_start,
     })
+}
+
+/// One nonzero observed cell of a target profile.
+struct Cell {
+    target: usize,
+    x: f64,
+    actual: f64,
+}
+
+/// Everything every objective evaluation shares.
+struct Setup<'a> {
+    xs: Vec<f64>,
+    dx: f64,
+    u0: Vec<f64>,
+    t_start: f64,
+    t_end: f64,
+    targets: &'a [(u32, Vec<f64>)],
+    /// The residuals' cells, target by target, in distance order.
+    cells: Vec<Cell>,
+    wrt: Vec<Parameter>,
+    seed_params: DlParameters,
+    max_obs: f64,
+    options: &'a CalibrationOptions,
+}
+
+impl Setup<'_> {
+    /// `(d, K)` of a parameter vector: fitted or the seed's.
+    fn unpack(&self, p: &[f64]) -> (f64, f64) {
+        let d = if self.options.fit_diffusion {
+            p[3]
+        } else {
+            self.seed_params.diffusion()
+        };
+        let k = if self.options.fit_capacity {
+            p[p.len() - 1]
+        } else {
+            self.seed_params.capacity()
+        };
+        (d, k)
+    }
+}
+
+/// The objective as least-squares residuals: one relative error
+/// `(I_pred − I_obs)/I_obs` per nonzero target cell, whose mean square is
+/// the objective, with its Jacobian from the solve's tangent.
+struct Residuals<'s, 'a> {
+    setup: &'s Setup<'a>,
+    /// Per cell: the prediction, then its partials in `wrt` order.
+    read: Vec<f64>,
+    reached: Vec<bool>,
+}
+
+impl<'s, 'a> Residuals<'s, 'a> {
+    fn new(setup: &'s Setup<'a>) -> Self {
+        Self {
+            read: vec![0.0; setup.cells.len() * (1 + setup.wrt.len())],
+            reached: vec![false; setup.targets.len()],
+            setup,
+        }
+    }
+
+    /// Solves at `p` and reads every cell's prediction and partials into
+    /// `read`, or returns `None` where the objective is `+∞`.
+    fn solve(&mut self, p: &[f64]) -> Option<()> {
+        let s = self.setup;
+        let opts = s.options;
+        let (a, b, c) = (p[0], p[1], p[2]);
+        let (d, k) = s.unpack(p);
+        // Hard constraints: the box, and a capacity above the data.
+        if !(p.iter().all(|v| v.is_finite())
+            && a >= 0.0
+            && b >= 0.0
+            && c >= 0.0
+            && (0.0..=opts.max_diffusion).contains(&d)
+            && k > 0.0
+            && k <= opts.max_capacity
+            && k > s.max_obs)
+        {
+            return None;
+        }
+        let params = DlParameters::new(d, k, s.seed_params.lower(), s.seed_params.upper()).ok()?;
+        let growth = ExpDecayGrowth::new(a, b, c);
+        let (x0, x1) = (s.xs[0], s.xs[s.xs.len() - 1]);
+        if s.cells
+            .iter()
+            .any(|cell| !(cell.x >= x0 - 1e-9 && cell.x <= x1 + 1e-9))
+        {
+            return None;
+        }
+        let width = 1 + s.wrt.len();
+        let (read, reached) = (&mut self.read, &mut self.reached);
+        reached.fill(false);
+        // Each target profile is read as the solve passes its hour, as
+        // `PdeSolution::value_at` reads it, so no step's row is kept.
+        let mut t_last = s.t_start;
+        let mut u = s.u0.clone();
+        let sens = solve_tangent(
+            &params,
+            &growth,
+            &opts.solver,
+            &s.xs,
+            s.dx,
+            &mut u,
+            s.t_start,
+            s.t_end,
+            &s.wrt,
+            &mut |step| {
+                t_last = step.next.0;
+                for (target, (h, _)) in s.targets.iter().enumerate() {
+                    let t = f64::from(*h);
+                    if reached[target] || t > t_last {
+                        continue;
+                    }
+                    reached[target] = true;
+                    for (cell, out) in s.cells.iter().zip(read.chunks_exact_mut(width)) {
+                        if cell.target == target {
+                            let x = cell.x.clamp(x0, x1);
+                            out[0] = step.value(x, t);
+                            for (q, o) in out[1..].iter_mut().enumerate() {
+                                *o = step.partial(q, x, t);
+                            }
+                        }
+                    }
+                }
+            },
+        )
+        .ok()?;
+        // A target hour the last step stops just short of reads the last
+        // row.
+        let n = s.xs.len();
+        for (cell, out) in s.cells.iter().zip(read.chunks_exact_mut(width)) {
+            if reached[cell.target] {
+                continue;
+            }
+            if f64::from(s.targets[cell.target].0) > t_last + 1e-9 {
+                return None;
+            }
+            let x = cell.x.clamp(x0, x1);
+            out[0] = interp_row(&s.xs, &u, x);
+            for (q, o) in out[1..].iter_mut().enumerate() {
+                *o = interp_row(&s.xs, &sens[q * n..(q + 1) * n], x);
+            }
+        }
+        Some(())
+    }
+}
+
+impl JacobianProblem for Residuals<'_, '_> {
+    fn residual_count(&self) -> usize {
+        self.setup.cells.len()
+    }
+
+    fn parameter_count(&self) -> usize {
+        self.setup.wrt.len()
+    }
+
+    fn evaluate(&mut self, p: &[f64], residuals: &mut [f64], jacobian: &mut Matrix) {
+        if self.solve(p).is_none() {
+            residuals.fill(f64::INFINITY);
+            return;
+        }
+        let width = 1 + self.setup.wrt.len();
+        for (i, (cell, read)) in self
+            .setup
+            .cells
+            .iter()
+            .zip(self.read.chunks_exact(width))
+            .enumerate()
+        {
+            residuals[i] = (read[0] - cell.actual) / cell.actual;
+            for (q, &partial) in read[1..].iter().enumerate() {
+                jacobian[(i, q)] = partial / cell.actual;
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -496,6 +677,102 @@ mod tests {
             assert!(cal.objective.is_finite(), "starts {starts}: {cal:?}");
             assert_eq!(cal.starts, starts);
         }
+    }
+
+    #[test]
+    fn a_seed_capacity_below_the_data_starts_inside_the_box() {
+        // The hour-1 peak (33.3) exceeds the `dl-cal` seed K0 = 25, where
+        // the objective is +∞. The seed must be projected to
+        // K = 1.05 · 33.3 before the search, so the fit ends finite with K
+        // above the data.
+        let initial = [33.3, 14.0, 9.0, 5.0, 3.0, 2.0];
+        let truth = DlParameters::new(0.02, 80.0, 1.0, 6.0).unwrap();
+        let phi = InitialDensity::from_observations(&truth, &initial, PhiConstruction::SplineFlat)
+            .unwrap();
+        let sol = crate::pde::solve(
+            &truth,
+            &ExpDecayGrowth::new(0.9, 1.1, 0.2),
+            &phi,
+            1.0,
+            3.0,
+            &SolverConfig::default(),
+        )
+        .unwrap();
+        let targets: Vec<(u32, Vec<f64>)> = [2u32, 3]
+            .iter()
+            .map(|&h| {
+                let profile = (1..=6)
+                    .map(|x| sol.value_at(f64::from(x), f64::from(h)).unwrap())
+                    .collect();
+                (h, profile)
+            })
+            .collect();
+        let seed = DlParameters::new(0.01, 25.0, 1.0, 6.0).unwrap();
+        let options = CalibrationOptions {
+            fit_capacity: true,
+            max_evals: 800,
+            ..CalibrationOptions::default()
+        };
+        for through in [1, 2] {
+            let cal = calibrate_profiles(
+                1,
+                &initial,
+                &targets[..through],
+                seed,
+                ExpDecayGrowth::paper_hops(),
+                &options,
+            )
+            .unwrap();
+            assert!(cal.objective.is_finite(), "through {through}: {cal:?}");
+            assert!(cal.params.capacity() > 33.3, "through {through}: {cal:?}");
+            assert!(cal.evaluations > 1, "through {through}: {cal:?}");
+        }
+    }
+
+    #[test]
+    fn fewer_cells_than_parameters_do_not_error() {
+        // A `through = 2` window over three distances: three residuals
+        // for the five parameters (a, b, c, d, K).
+        let seed = DlParameters::new(0.01, 25.0, 1.0, 3.0).unwrap();
+        let cal = calibrate_profiles(
+            1,
+            &[2.1, 0.7, 0.9],
+            &[(2, vec![3.4, 1.2, 1.3])],
+            seed,
+            ExpDecayGrowth::paper_hops(),
+            &CalibrationOptions {
+                fit_capacity: true,
+                max_evals: 800,
+                ..CalibrationOptions::default()
+            },
+        )
+        .unwrap();
+        assert!(cal.objective.is_finite(), "{cal:?}");
+        assert!(cal.evaluations <= 800, "{cal:?}");
+    }
+
+    #[test]
+    fn explicit_solvers_are_rejected() {
+        let observed = synthetic_observations(0.01, &ExpDecayGrowth::paper_hops());
+        let err = calibrate(
+            &observed,
+            1,
+            &[2, 3],
+            DlParameters::paper_hops(6).unwrap(),
+            ExpDecayGrowth::paper_hops(),
+            &CalibrationOptions {
+                solver: SolverConfig {
+                    method: crate::pde::SolverMethod::Rk4,
+                    ..CalibrationOptions::default().solver
+                },
+                ..CalibrationOptions::default()
+            },
+        )
+        .unwrap_err();
+        assert!(matches!(
+            err,
+            DlError::InvalidParameter { name: "solver", .. }
+        ));
     }
 
     #[test]

@@ -47,11 +47,13 @@
 //! * [`growth`] — `r(t)` families, incl. Eq. 7 / Figure 6;
 //! * [`initial`] — φ construction per §II.D (flat-ended cubic spline);
 //! * [`pde`] — Eq. 4 solvers: one θ-stepper (Crank–Nicolson / backward
-//!   Euler, also behind [`variable`]) and method-of-lines cross-checks;
+//!   Euler, also behind [`variable`]) with optional forward
+//!   sensitivities, and method-of-lines cross-checks;
 //! * [`model`] — the [`model::DlModel`] facade: observe → solve → predict,
 //!   with a readout table that resumes the solve instead of repeating it;
 //! * [`accuracy`] — Eq.-8 accuracy tables (Tables I and II);
-//! * [`calibrate`] — automated parameter fitting (the paper's future work);
+//! * [`calibrate`] — automated parameter fitting (the paper's future
+//!   work) by Levenberg–Marquardt on the θ-stepper's sensitivities;
 //! * [`baselines`] — logistic-only (d = 0), naive, linear-trend, SI/SIS;
 //! * [`theory`] — numerical verification of the §II.C properties;
 //! * [`variable`] — the paper's §V future work: d, r, K as functions of

@@ -517,6 +517,7 @@ impl Resumable for DlModel {
             first_step,
             self.initial_time,
             t_end,
+            None,
             observe,
         )
     }

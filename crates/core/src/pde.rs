@@ -30,18 +30,24 @@
 //! to an observer. [`solve`] records them all; the prediction readout in
 //! [`crate::model`] keeps only the integer-hour cells and the last state,
 //! and can resume stepping from that state; the calibration objective
-//! keeps only its target cells. Its output is pinned bit for bit:
+//! keeps only its target cells. With a tangent the stepper also carries
+//! the forward sensitivities of the θ-scheme in Eq. 4's parameters
+//! ([`solve_sensitivities`]): after each converged step it refactors
+//! the Newton Jacobian at the converged field once and back-substitutes
+//! one right-hand side per parameter, with no second Newton loop. The
+//! calibration objective takes its Jacobian from them. Its output is
+//! pinned bit for bit:
 //! `tests/solver_validation.rs` hashes every time and value bit of
 //! reference solves of both models and of served-lineup fits, and pins
 //! resumed readouts against fresh solves. A stepper change that moves any
 //! bit must re-baseline those hashes deliberately.
 
 use crate::error::{DlError, Result};
-use crate::growth::GrowthRate;
+use crate::growth::{ExpDecayGrowth, GrowthRate};
 use crate::initial::InitialDensity;
 use crate::params::DlParameters;
 use dlm_numerics::ode::{rk4, AdaptiveConfig, DormandPrince45};
-use dlm_numerics::tridiag::solve_tridiagonal_into;
+use dlm_numerics::tridiag::{solve_tridiagonal_into, solve_tridiagonal_many_into};
 
 /// Time-stepping scheme for the method-of-lines system.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -151,6 +157,7 @@ impl PdeSolution {
             xs: &self.xs,
             now: (self.times[ti - 1], &self.values[ti - 1]),
             next: (self.times[ti], &self.values[ti]),
+            sens: None,
         }
         .value(x, t))
     }
@@ -206,11 +213,13 @@ pub(crate) fn interp_row(xs: &[f64], row: &[f64], x: f64) -> f64 {
 }
 
 /// One step of a solve, as its observer sees it: the grid and the
-/// field at the step's start and end times.
+/// field at the step's start and end times, and with a [`Tangent`] the
+/// sensitivities at both (one row per parameter, back to back).
 pub(crate) struct Step<'a> {
     pub(crate) xs: &'a [f64],
     pub(crate) now: (f64, &'a [f64]),
     pub(crate) next: (f64, &'a [f64]),
+    pub(crate) sens: Option<(&'a [f64], &'a [f64])>,
 }
 
 impl Step<'_> {
@@ -218,7 +227,20 @@ impl Step<'_> {
     /// bit for bit what [`PdeSolution::value_at`] reads from a recorded
     /// trajectory that holds this step.
     pub(crate) fn value(&self, x: f64, t: f64) -> f64 {
-        let ((ta, va), (tb, vb)) = (self.now, self.next);
+        self.read(self.now.1, self.next.1, x, t)
+    }
+
+    /// `∂I/∂p_q` at `(x, t)`, read with the weights of [`Step::value`]:
+    /// the readout is linear in the field, so this is its exact
+    /// derivative. Needs a step of a solve with a tangent.
+    pub(crate) fn partial(&self, q: usize, x: f64, t: f64) -> f64 {
+        let (now, next) = self.sens.expect("a step of a solve with a tangent");
+        let rows = q * self.xs.len()..(q + 1) * self.xs.len();
+        self.read(&now[rows.clone()], &next[rows], x, t)
+    }
+
+    fn read(&self, va: &[f64], vb: &[f64], x: f64, t: f64) -> f64 {
+        let (ta, tb) = (self.now.0, self.next.0);
         if t == tb {
             return interp_row(self.xs, vb, x);
         }
@@ -301,7 +323,7 @@ pub fn solve(
         SolverMethod::CrankNicolson | SolverMethod::BackwardEuler => {
             return record(xs, u0, t_start, |xs, u, observe| {
                 step_eq4(
-                    params, growth, config, xs, dx, u, 0, t_start, t_end, observe,
+                    params, growth, config, xs, dx, u, 0, t_start, t_end, None, observe,
                 )
             });
         }
@@ -324,45 +346,9 @@ pub fn solve(
     })
 }
 
-/// Solves Eq. 4 like [`solve`], but hands each step to `observe` instead
-/// of recording it, and returns the grid and the final field. The θ
-/// schemes keep no rows at all; the explicit ones replay their
-/// trajectory.
-///
-/// # Errors
-///
-/// Same conditions as [`solve`].
-pub(crate) fn solve_observed(
-    params: &DlParameters,
-    growth: &dyn GrowthRate,
-    phi: &InitialDensity,
-    t_start: f64,
-    t_end: f64,
-    config: &SolverConfig,
-    observe: Observer<'_>,
-) -> Result<(Vec<f64>, Vec<f64>)> {
-    if !config.method.is_theta() {
-        let sol = solve(params, growth, phi, t_start, t_end, config)?;
-        for k in 1..sol.times.len() {
-            observe(&Step {
-                xs: &sol.xs,
-                now: (sol.times[k - 1], &sol.values[k - 1]),
-                next: (sol.times[k], &sol.values[k]),
-            });
-        }
-        let last = sol.values.last().expect("nonempty trajectory").clone();
-        return Ok((sol.xs, last));
-    }
-    let (xs, dx, mut u) = start(params.lower(), params.upper(), phi, config, t_start, t_end)?;
-    step_eq4(
-        params, growth, config, &xs, dx, &mut u, 0, t_start, t_end, observe,
-    )?;
-    Ok((xs, u))
-}
-
 /// Eq. 4 on the θ-stepper (CN or BE, from `config.method`): steps the
 /// field `u` on the grid `xs` from step `first_step` of a solve from
-/// `t_start` on to `t_end`.
+/// `t_start` on to `t_end`, and the sensitivities of `tangent` with it.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn step_eq4(
     params: &DlParameters,
@@ -374,6 +360,7 @@ pub(crate) fn step_eq4(
     first_step: usize,
     t_start: f64,
     t_end: f64,
+    tangent: Option<&mut Tangent<'_>>,
     observe: Observer<'_>,
 ) -> Result<()> {
     // Implicit weight: CN splits the operator evenly; BE is fully
@@ -397,6 +384,7 @@ pub(crate) fn step_eq4(
             *r = growth.rate(t);
             *capacity = k;
         },
+        tangent,
         observe,
     )
 }
@@ -578,13 +566,249 @@ pub(crate) fn shared_time_grid(t_start: f64, t_end: f64, dt: f64) -> Option<(usi
     (last >= t_end).then_some((steps, last))
 }
 
+/// `forcing(t, I, out)` writes `∂F(t, I)/∂p_q` for every parameter `q`,
+/// in the layout of [`Tangent`]'s sensitivities.
+pub(crate) type Forcing<'f> = &'f mut dyn FnMut(f64, &[f64], &mut [f64]);
+
+/// Forward sensitivities `S_q = ∂I/∂p_q` of a θ-solve, stepped by
+/// [`solve_theta`] alongside the field.
+///
+/// Differentiating one step's system
+/// `v − w_i·F(t₊, v) = u + w_e·F(t, u)`, with `F = Lap I + f` and weights
+/// `w_i = θ·Δt`, `w_e = (1 − θ)·Δt`, gives
+///
+/// ```text
+/// J·S₊ = S + w_e·(Lap S + f_I(t, u)·S) + w_e·∂_q F(t, u) + w_i·∂_q F(t₊, v)
+/// ```
+///
+/// where `J = I − w_i·(Lap + f_I(t₊, v))` is the step's Newton Jacobian
+/// at its converged field. These are the derivatives of the discrete
+/// solve itself, not of the PDE, so they match finite differences of the
+/// same solve.
+pub(crate) struct Tangent<'f> {
+    /// Sensitivities at the step's start and end: one row of grid values
+    /// per parameter, back to back. The start is zero: φ depends on no
+    /// fitted parameter.
+    now: Vec<f64>,
+    next: Vec<f64>,
+    forcing: Forcing<'f>,
+    f_now: Vec<f64>,
+    f_next: Vec<f64>,
+    explicit_diag: Vec<f64>,
+    jacobian_diag: Vec<f64>,
+    c_scratch: Vec<f64>,
+    inv_pivots: Vec<f64>,
+}
+
+impl<'f> Tangent<'f> {
+    /// A zero tangent in `params` parameters on a grid of `n` nodes.
+    pub(crate) fn new(params: usize, n: usize, forcing: Forcing<'f>) -> Self {
+        Self {
+            now: vec![0.0; params * n],
+            next: vec![0.0; params * n],
+            forcing,
+            f_now: vec![0.0; params * n],
+            f_next: vec![0.0; params * n],
+            explicit_diag: vec![0.0; n],
+            jacobian_diag: vec![0.0; n],
+            c_scratch: vec![0.0; n],
+            inv_pivots: vec![0.0; n],
+        }
+    }
+}
+
+/// A parameter of Eq. 4 with the growth rate `r(t) = a·e^{−b(t−1)} + c`
+/// that [`solve_sensitivities`] differentiates by.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Parameter {
+    /// The growth amplitude `a`.
+    Amplitude,
+    /// The growth decay `b`.
+    Decay,
+    /// The growth floor `c`.
+    Floor,
+    /// The diffusion rate `d`.
+    Diffusion,
+    /// The carrying capacity `K`.
+    Capacity,
+}
+
+/// The field of a θ-solve of Eq. 4 at its last time, with its forward
+/// sensitivities there.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Sensitivities {
+    field: Vec<f64>,
+    partials: Vec<Vec<f64>>,
+}
+
+impl Sensitivities {
+    /// `I(x, t_end)` on the grid: bit for bit the last row of [`solve`].
+    #[must_use]
+    pub fn field(&self) -> &[f64] {
+        &self.field
+    }
+
+    /// `∂I(x, t_end)/∂p` on the grid for the `i`-th requested parameter.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not below the number of requested parameters.
+    #[must_use]
+    pub fn partial(&self, i: usize) -> &[f64] {
+        &self.partials[i]
+    }
+}
+
+/// Solves Eq. 4 with the growth rate `r(t) = a·e^{−b(t−1)} + c` on the
+/// θ-stepper, as [`solve`] does, and steps the forward sensitivities of
+/// the discrete solve in each parameter of `wrt` with it. The field is
+/// bit for bit [`solve`]'s; each sensitivity costs one back-substitution
+/// per step against the step's Newton Jacobian, factored once.
+///
+/// # Errors
+///
+/// * [`DlError::InvalidParameter`] — an explicit method (the sensitivities
+///   are those of the θ-scheme), or the degenerate configs [`solve`]
+///   rejects.
+/// * Propagates Newton/tridiagonal failures.
+///
+/// # Examples
+///
+/// ```
+/// use dlm_core::growth::ExpDecayGrowth;
+/// use dlm_core::initial::{InitialDensity, PhiConstruction};
+/// use dlm_core::params::DlParameters;
+/// use dlm_core::pde::{solve_sensitivities, Parameter, SolverConfig};
+///
+/// # fn main() -> Result<(), dlm_core::DlError> {
+/// let params = DlParameters::paper_hops(6)?;
+/// let phi = InitialDensity::from_observations(
+///     &params,
+///     &[2.1, 0.7, 0.9, 0.5, 0.3, 0.2],
+///     PhiConstruction::SplineFlat,
+/// )?;
+/// let growth = ExpDecayGrowth::paper_hops();
+/// let s = solve_sensitivities(&params, &growth, &phi, 1.0, 3.0,
+///     &SolverConfig::default(), &[Parameter::Floor, Parameter::Capacity])?;
+/// // A larger floor of the growth rate grows every node faster.
+/// assert!(s.partial(0).iter().all(|&v| v > 0.0));
+/// # Ok(())
+/// # }
+/// ```
+pub fn solve_sensitivities(
+    params: &DlParameters,
+    growth: &ExpDecayGrowth,
+    phi: &InitialDensity,
+    t_start: f64,
+    t_end: f64,
+    config: &SolverConfig,
+    wrt: &[Parameter],
+) -> Result<Sensitivities> {
+    let (xs, dx, mut field) = start(params.lower(), params.upper(), phi, config, t_start, t_end)?;
+    let sens = solve_tangent(
+        params,
+        growth,
+        config,
+        &xs,
+        dx,
+        &mut field,
+        t_start,
+        t_end,
+        wrt,
+        &mut |_| {},
+    )?;
+    let partials = sens.chunks_exact(xs.len()).map(<[f64]>::to_vec).collect();
+    Ok(Sensitivities { field, partials })
+}
+
+/// Eq. 4 with exponential-decay growth on the θ-stepper from `u` (φ on
+/// the grid `xs` at `t_start`) to `t_end`, with the tangent in `wrt`:
+/// hands every step to `observe` and returns the final sensitivities,
+/// one row per parameter.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn solve_tangent(
+    params: &DlParameters,
+    growth: &ExpDecayGrowth,
+    config: &SolverConfig,
+    xs: &[f64],
+    dx: f64,
+    u: &mut Vec<f64>,
+    t_start: f64,
+    t_end: f64,
+    wrt: &[Parameter],
+    observe: Observer<'_>,
+) -> Result<Vec<f64>> {
+    if !config.method.is_theta() {
+        return Err(DlError::InvalidParameter {
+            name: "method",
+            reason: "sensitivities follow the θ-scheme: use CrankNicolson or BackwardEuler".into(),
+        });
+    }
+    let n = xs.len();
+    let (a, b, c, k) = (
+        growth.amplitude(),
+        growth.decay(),
+        growth.floor(),
+        params.capacity(),
+    );
+    let (unit, inv_k) = (UniformDiffusion(1.0 / (dx * dx)), 1.0 / k);
+    let mut logistic = vec![0.0; n];
+    let mut forcing = |t: f64, field: &[f64], out: &mut [f64]| {
+        // ∂F/∂p for F = (d/Δx²)·stencil(I) + r(t)·I·(1 − I/K), with
+        // r(t) = a·e^{−b(t−1)} + c, the expression `growth.rate` computes.
+        let decay = (-b * (t - 1.0)).exp();
+        let r = a * decay + c;
+        for (l, &v) in logistic.iter_mut().zip(field) {
+            *l = v * (1.0 - v * inv_k);
+        }
+        for (&p, row) in wrt.iter().zip(out.chunks_exact_mut(n)) {
+            let dr = match p {
+                Parameter::Diffusion => {
+                    unit.apply(field, row);
+                    continue;
+                }
+                Parameter::Capacity => {
+                    let scale = r * inv_k * inv_k;
+                    for (o, &v) in row.iter_mut().zip(field) {
+                        *o = scale * v * v;
+                    }
+                    continue;
+                }
+                Parameter::Amplitude => decay,
+                Parameter::Decay => -a * (t - 1.0) * decay,
+                Parameter::Floor => 1.0,
+            };
+            for (o, &l) in row.iter_mut().zip(&logistic) {
+                *o = dr * l;
+            }
+        }
+    };
+    let mut tangent = Tangent::new(wrt.len(), n, &mut forcing);
+    step_eq4(
+        params,
+        growth,
+        config,
+        xs,
+        dx,
+        u,
+        0,
+        t_start,
+        t_end,
+        Some(&mut tangent),
+        observe,
+    )?;
+    Ok(tangent.now)
+}
+
 /// The θ-scheme (½: Crank–Nicolson, 1: backward Euler) for
 /// `∂I/∂t = Lap I + r·I·(1 − I/K)` on the grid `xs` of [`start`]: steps
 /// `state`, the field after step `first_step` of a solve from `t_start`
 /// to `t_end`, on to `t_end`, and hands every step to `observe`.
 /// `reaction(t, r, k)` fills growth and capacity at `t`; each step solves
 /// its nonlinear system with damped Newton over the tridiagonal Jacobian.
-/// On an error `state` is left empty.
+/// With a `tangent`, each converged step also refactors that Jacobian at
+/// the converged field and steps the sensitivities through it. On an
+/// error `state` is left empty.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn solve_theta<C: NodeValues>(
     xs: &[f64],
@@ -596,6 +820,7 @@ pub(crate) fn solve_theta<C: NodeValues>(
     theta: f64,
     diffusion: impl Diffusion,
     mut reaction: impl FnMut(f64, &mut C, &mut C),
+    mut tangent: Option<&mut Tangent<'_>>,
     observe: Observer<'_>,
 ) -> Result<()> {
     let n = xs.len();
@@ -704,12 +929,47 @@ pub(crate) fn solve_theta<C: NodeValues>(
                 },
             ));
         }
+        if let Some(tangent) = tangent.as_deref_mut() {
+            // The Newton Jacobian's diagonal at the converged field, and
+            // the explicit half's `I + w_e·f_I(t, u)`.
+            for j in 0..n {
+                let fprime_next = r_next.at(j) * (1.0 - 2.0 * v[j] / k_next.at(j));
+                tangent.jacobian_diag[j] = diag_base[j] - implicit_weight * fprime_next;
+                let fprime_now = r_now.at(j) * (1.0 - 2.0 * u[j] / k_now.at(j));
+                tangent.explicit_diag[j] = 1.0 + explicit_weight * fprime_now;
+            }
+            (tangent.forcing)(t_now, &u, &mut tangent.f_now);
+            (tangent.forcing)(t_next, &v, &mut tangent.f_next);
+            for q in 0..tangent.now.len() / n {
+                let rows = q * n..(q + 1) * n;
+                let s_now = &tangent.now[rows.clone()];
+                diffusion.apply(s_now, &mut lap);
+                let (f_now, f_next) = (&tangent.f_now[rows.clone()], &tangent.f_next[rows.clone()]);
+                for (j, out) in tangent.next[rows].iter_mut().enumerate() {
+                    *out = tangent.explicit_diag[j] * s_now[j]
+                        + explicit_weight * (lap[j] + f_now[j])
+                        + implicit_weight * f_next[j];
+                }
+            }
+            solve_tridiagonal_many_into(
+                &sub,
+                &tangent.jacobian_diag,
+                &sup,
+                &mut tangent.next,
+                &mut tangent.c_scratch,
+                &mut tangent.inv_pivots,
+            )?;
+        }
         std::mem::swap(&mut u, &mut v);
         observe(&Step {
             xs,
             now: (t_now, &v),
             next: (t_next, &u),
+            sens: tangent.as_deref().map(|t| (&t.now[..], &t.next[..])),
         });
+        if let Some(tangent) = tangent.as_deref_mut() {
+            std::mem::swap(&mut tangent.now, &mut tangent.next);
+        }
     }
     *state = u;
     Ok(())

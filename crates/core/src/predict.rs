@@ -438,8 +438,8 @@ pub struct FitConfig {
     /// Multi-start strategy for the calibration paths
     /// ([`crate::calibrate::calibrate_profiles`] behind the `dl-cal`
     /// predictor, and the per-distance growth calibration behind
-    /// `variable-dl`). The default is a single start — the classic
-    /// seeded Nelder–Mead; see `docs/CALIBRATION.md` for the seeding
+    /// `variable-dl`). The default is a single start — one local search
+    /// from the seed; see `docs/CALIBRATION.md` for the seeding
     /// scheme and determinism contract.
     pub multi_start: MultiStartConfig,
 }

@@ -44,7 +44,8 @@ pub enum ModelSpec {
         /// Growth family `r(t)`.
         growth: GrowthFamily,
     },
-    /// The DL model with Nelder–Mead calibration on the observed window.
+    /// The DL model with Levenberg–Marquardt calibration on the observed
+    /// window.
     DlCalibrated {
         /// Seed diffusion rate for the search.
         seed_diffusion: f64,
@@ -54,9 +55,9 @@ pub enum ModelSpec {
         seed_growth: GrowthFamily,
         /// Whether `K` is free during the search.
         fit_capacity: bool,
-        /// Optimizer evaluation budget (per start).
+        /// Budget of PDE solves per start.
         max_evals: usize,
-        /// Nelder–Mead starts (`1` = classic single-start; more starts
+        /// Calibration starts (`1` = classic single-start; more starts
         /// add deterministic stratified restarts, see
         /// `docs/CALIBRATION.md`).
         starts: usize,

@@ -405,6 +405,7 @@ impl Resumable for VariableDlModel {
                 self.growth.fill(xs, t, r);
                 self.capacity.fill(xs, t, k);
             },
+            None,
             observe,
         )
     }

@@ -218,7 +218,7 @@ impl FittedPredictor for FittedDl {
 // DL (calibrated)
 // ---------------------------------------------------------------------------
 
-/// The DL model with Nelder–Mead calibration of `(d, r(t)[, K])` against
+/// The DL model with Levenberg–Marquardt calibration of `(d, r(t)[, K])` against
 /// every observed profile after the first — the automated analogue of the
 /// paper's hand tuning.
 #[derive(Debug, Clone, PartialEq)]

@@ -8,7 +8,9 @@ use dlm_core::growth::ExpDecayGrowth;
 use dlm_core::initial::{InitialDensity, PhiConstruction};
 use dlm_core::model::{DlModelBuilder, Prediction};
 use dlm_core::params::DlParameters;
-use dlm_core::pde::{solve, PdeSolution, SolverConfig, SolverMethod};
+use dlm_core::pde::{
+    solve, solve_sensitivities, Parameter, PdeSolution, SolverConfig, SolverMethod,
+};
 use dlm_core::predict::{Observation, PredictionRequest};
 use dlm_core::registry::{ModelRegistry, ModelSpec};
 use dlm_core::variable::{
@@ -294,6 +296,90 @@ fn variable_solves_are_bit_stable() {
     }
 }
 
+/// The last row of a plain solve of Eq. 4 at `(d, K, a, b, c)`.
+fn last_row(p: [f64; 5], config: &SolverConfig, t_end: f64) -> Vec<f64> {
+    let params = DlParameters::new(p[3], p[4], 1.0, 6.0).unwrap();
+    let phi =
+        InitialDensity::from_observations(&params, &OBS, PhiConstruction::SplineFlat).unwrap();
+    let growth = ExpDecayGrowth::new(p[0], p[1], p[2]);
+    let sol = solve(&params, &growth, &phi, 1.0, t_end, config).unwrap();
+    sol.values().last().unwrap().clone()
+}
+
+#[test]
+fn sensitivities_match_central_differences_of_the_same_solve() {
+    // (a, b, c, d, K), the order of `Parameter`'s variants below.
+    let at = [1.2, 1.3, 0.3, 0.03, 25.0];
+    let wrt = [
+        Parameter::Amplitude,
+        Parameter::Decay,
+        Parameter::Floor,
+        Parameter::Diffusion,
+        Parameter::Capacity,
+    ];
+    for method in [SolverMethod::CrankNicolson, SolverMethod::BackwardEuler] {
+        for (space_intervals, dt, t_end) in [(40, 0.05, 4.0), (100, 0.01, 3.0)] {
+            let config = SolverConfig {
+                method,
+                space_intervals,
+                dt,
+            };
+            let params = DlParameters::new(at[3], at[4], 1.0, 6.0).unwrap();
+            let phi = InitialDensity::from_observations(&params, &OBS, PhiConstruction::SplineFlat)
+                .unwrap();
+            let growth = ExpDecayGrowth::new(at[0], at[1], at[2]);
+            let tangent =
+                solve_sensitivities(&params, &growth, &phi, 1.0, t_end, &config, &wrt).unwrap();
+            let field_bits: Vec<u64> = tangent.field().iter().map(|v| v.to_bits()).collect();
+            let plain_bits: Vec<u64> = last_row(at, &config, t_end)
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            assert_eq!(field_bits, plain_bits, "{method:?}: the field moved");
+            for (q, parameter) in wrt.iter().enumerate() {
+                let h = 1e-4 * at[q];
+                let (mut up, mut down) = (at, at);
+                up[q] += h;
+                down[q] -= h;
+                let (hi, lo) = (last_row(up, &config, t_end), last_row(down, &config, t_end));
+                let central: Vec<f64> = hi
+                    .iter()
+                    .zip(&lo)
+                    .map(|(a, b)| (a - b) / (2.0 * h))
+                    .collect();
+                let scale = central.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+                let err = tangent
+                    .partial(q)
+                    .iter()
+                    .zip(&central)
+                    .fold(0.0f64, |m, (a, b)| m.max((a - b).abs()));
+                assert!(
+                    scale > 0.0 && err <= 1e-6 * scale,
+                    "{method:?} {space_intervals}x{dt} {parameter:?}: error {err:e} vs scale {scale:e}"
+                );
+            }
+        }
+    }
+    // Explicit methods have no θ-step to differentiate.
+    let params = DlParameters::paper_hops(6).unwrap();
+    let phi =
+        InitialDensity::from_observations(&params, &OBS, PhiConstruction::SplineFlat).unwrap();
+    let rk4 = SolverConfig {
+        method: SolverMethod::Rk4,
+        ..SolverConfig::default()
+    };
+    assert!(solve_sensitivities(
+        &params,
+        &ExpDecayGrowth::paper_hops(),
+        &phi,
+        1.0,
+        2.0,
+        &rk4,
+        &wrt
+    )
+    .is_err());
+}
+
 /// Three observed hours over six distances, shaped like a Digg cascade.
 fn pinned_observation() -> Observation {
     Observation::new(
@@ -331,7 +417,7 @@ fn served_lineup_fits_are_bit_stable() {
     let spec: ModelSpec = "dl-cal".parse().unwrap();
     let fitted = registry.build(&spec).unwrap().fit(&observation).unwrap();
     let hash = fnv1a_bits(fitted.params());
-    assert_eq!(hash, 0x9bfc_9837_8a9a_62f8, "dl-cal: {hash:#018x}");
+    assert_eq!(hash, 0xcece_ae87_f80e_acdb, "dl-cal: {hash:#018x}");
 }
 
 /// Latest hour the prefix pins request.

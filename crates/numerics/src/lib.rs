@@ -10,7 +10,7 @@
 //! ## Modules
 //!
 //! * [`tridiag`] — Thomas algorithm and pivoted banded LU (Crank–Nicolson
-//!   inner solver).
+//!   inner solver and its sensitivities).
 //! * [`linalg`] — small dense matrices and LU (Levenberg–Marquardt normal
 //!   equations).
 //! * [`spline`] — natural/clamped cubic splines and monotone PCHIP (the
@@ -20,13 +20,14 @@
 //!   cross-checks behind `dlm_core::pde::solve` (RK4 also integrates the
 //!   ODE baselines); `backward_euler` has no caller in the workspace.
 //! * [`optimize`] — Nelder–Mead, golden section, grid search, and
-//!   deterministic pool-parallel multi-start search (parameter
-//!   calibration).
+//!   deterministic pool-parallel multi-start search around any local
+//!   search (parameter calibration).
 //! * [`mix`] — the SplitMix64 avalanche shared by the multi-start seed
 //!   grid and the router's ring hashing.
 //! * [`pool`] — scoped work-stealing executor for embarrassingly parallel
 //!   grids (batch evaluation).
-//! * [`least_squares`] — Levenberg–Marquardt (growth-rate curve fits).
+//! * [`least_squares`] — box-constrained Levenberg–Marquardt (the `dl-cal`
+//!   calibration).
 //! * [`stats`] — descriptive statistics and the paper's Eq.-8 accuracy.
 //! * [`convergence`] — observed-order studies and Richardson extrapolation.
 //!

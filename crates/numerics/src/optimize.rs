@@ -1,16 +1,14 @@
 //! Derivative-free minimization: Nelder–Mead simplex, golden-section line
 //! search, grid search, and deterministic multi-start search.
 //!
-//! `dlm-core::calibrate` fits the DL parameters (diffusion rate `d`, growth
-//! parameters, carrying capacity `K`) by minimizing prediction error over an
-//! early observation window — an objective that involves a full PDE solve
-//! and therefore has no cheap gradient. Nelder–Mead is the natural tool
-//! (and is also what MATLAB's `fminsearch`, the authors' likely companion,
-//! implements). Because the simplex is a *local* search, a bad seed can
-//! strand it in a poor basin; [`multi_start_nelder_mead`] restarts it from
-//! a deterministic stratified grid of seed points
-//! ([`stratified_starts`]) and fans the independent starts onto the
-//! work-stealing executor in [`crate::pool`]. Selection is a total order
+//! `dlm-core::variable` fits per-distance growth curves with Nelder–Mead
+//! (MATLAB's `fminsearch`, the authors' likely companion). Because a local
+//! search can strand in a poor basin, [`multi_start`] restarts any local
+//! search — Nelder–Mead through [`multi_start_nelder_mead`], or the
+//! Levenberg–Marquardt fit behind `dlm-core::calibrate` — from a
+//! deterministic stratified grid of seed points ([`stratified_starts`])
+//! and fans the independent starts onto the work-stealing executor in
+//! [`crate::pool`]. Selection is a total order
 //! (objective bits, then start index), so the outcome is byte-identical
 //! under every [`Parallelism`] setting. The fitting semantics are
 //! specified normatively in `docs/CALIBRATION.md`.
@@ -373,14 +371,14 @@ pub fn grid_search<F: FnMut(&[f64]) -> f64>(
     })
 }
 
-/// Options for [`multi_start_nelder_mead`]: how many independent
-/// Nelder–Mead starts to run, how their seed points are generated, the
-/// per-start local-search budget, and how the starts are scheduled.
+/// Options for [`multi_start`] and [`multi_start_nelder_mead`]: how many
+/// independent local searches to run, how their seed points are
+/// generated, the per-start Nelder–Mead settings, and how the starts are
+/// scheduled.
 ///
-/// The default is a **single** start — exactly the classic
-/// `nelder_mead(f, x0, local)` call — so threading this config through
-/// an existing fitting path changes nothing until a caller raises
-/// `starts`.
+/// The default is a **single** start — exactly one local search from the
+/// caller's seed — so threading this config through an existing fitting
+/// path changes nothing until a caller raises `starts`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MultiStartConfig {
     /// Total number of starts, *including* the caller's seed point
@@ -390,8 +388,9 @@ pub struct MultiStartConfig {
     /// [`stratified_starts`]). Two searches with equal seeds, bounds and
     /// start counts use identical start points.
     pub seed: u64,
-    /// The Nelder–Mead configuration applied to **each** start: the
-    /// total objective budget is `starts × local.max_evals`.
+    /// The Nelder–Mead configuration [`multi_start_nelder_mead`] applies
+    /// to **each** start: the total objective budget is
+    /// `starts × local.max_evals`. [`multi_start`] does not read it.
     pub local: NelderMeadConfig,
     /// How the independent starts are scheduled on [`crate::pool`].
     /// Purely a wall-clock knob: the outcome is byte-identical across
@@ -429,7 +428,7 @@ impl MultiStartConfig {
     }
 }
 
-/// The outcome of a [`multi_start_nelder_mead`] search.
+/// The outcome of a [`multi_start`] search.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MultiStartOutcome {
     /// The winning local minimum.
@@ -516,17 +515,8 @@ pub fn stratified_starts(bounds: &[(f64, f64)], count: usize, seed: u64) -> Resu
 
 /// Minimizes `f` by running independent Nelder–Mead searches from the
 /// caller's seed `x0` (start 0) plus `cfg.starts - 1` stratified points
-/// inside `bounds` ([`stratified_starts`] keyed by `cfg.seed`), and
-/// returns the best local minimum found.
-///
-/// The starts are scheduled on the work-stealing executor in
-/// [`crate::pool`] under `cfg.parallelism`; because each start is an
-/// independent pure computation and the winner is selected by a **total
-/// order** — ascending [`f64::total_cmp`] on the objective value
-/// (i.e. its bit pattern for the finite values that occur), ties broken
-/// by the lowest start index — the outcome is byte-identical across
-/// [`Parallelism::Serial`], [`Parallelism::Fixed`] and
-/// [`Parallelism::Auto`].
+/// inside `bounds`, through [`multi_start`], and returns the best local
+/// minimum found.
 ///
 /// Since start 0 *is* the plain single-start search, the multi-start
 /// objective value is never worse than `nelder_mead(f, x0, cfg.local)`'s.
@@ -537,12 +527,8 @@ pub fn stratified_starts(bounds: &[(f64, f64)], count: usize, seed: u64) -> Resu
 ///
 /// # Errors
 ///
-/// * [`NumericsError::DimensionMismatch`] — `bounds` length differs
-///   from `x0`'s.
-/// * [`NumericsError::InvalidParameter`] — invalid bounds (only
-///   checked when `cfg.starts > 1`, since a single start generates no
-///   grid), non-finite seed, or a bad local config (propagated from
-///   [`nelder_mead`]).
+/// As [`multi_start`], plus a non-finite seed or a bad local config
+/// (propagated from [`nelder_mead`]).
 ///
 /// # Examples
 ///
@@ -575,6 +561,42 @@ pub fn multi_start_nelder_mead<F>(
 where
     F: Fn(&[f64]) -> f64 + Sync,
 {
+    multi_start(x0, bounds, &cfg, |seed| nelder_mead(&f, seed, cfg.local))
+}
+
+/// Runs the local search `search` from the caller's seed `x0` (start 0)
+/// plus `cfg.starts - 1` stratified points inside `bounds`
+/// ([`stratified_starts`] keyed by `cfg.seed`), and returns the best
+/// local minimum found. `cfg.local` is not read: `search` carries its
+/// own settings.
+///
+/// The starts are scheduled on the work-stealing executor in
+/// [`crate::pool`] under `cfg.parallelism`; because each start is an
+/// independent pure computation and the winner is selected by a **total
+/// order** — ascending [`f64::total_cmp`] on the objective value
+/// (i.e. its bit pattern for the finite values that occur), ties broken
+/// by the lowest start index — the outcome is byte-identical across
+/// [`Parallelism::Serial`], [`Parallelism::Fixed`] and
+/// [`Parallelism::Auto`], given a `search` that is a pure function of its
+/// seed point.
+///
+/// # Errors
+///
+/// * [`NumericsError::DimensionMismatch`] — `bounds` length differs
+///   from `x0`'s.
+/// * [`NumericsError::InvalidParameter`] — invalid bounds (only
+///   checked when `cfg.starts > 1`, since a single start generates no
+///   grid).
+/// * The first error any start's `search` returns, in start order.
+pub fn multi_start<S>(
+    x0: &[f64],
+    bounds: &[(f64, f64)],
+    cfg: &MultiStartConfig,
+    search: S,
+) -> Result<MultiStartOutcome>
+where
+    S: Fn(&[f64]) -> Result<Minimum> + Sync,
+{
     if bounds.len() != x0.len() {
         return Err(NumericsError::DimensionMismatch {
             expected: format!("{} bounds (one per seed coordinate)", x0.len()),
@@ -588,11 +610,9 @@ where
         seeds.extend(stratified_starts(bounds, starts - 1, cfg.seed)?);
     }
 
-    let minima: Vec<Minimum> = parallel_map(cfg.parallelism, &seeds, |_, seed| {
-        nelder_mead(&f, seed, cfg.local)
-    })
-    .into_iter()
-    .collect::<Result<_>>()?;
+    let minima: Vec<Minimum> = parallel_map(cfg.parallelism, &seeds, |_, seed| search(seed))
+        .into_iter()
+        .collect::<Result<_>>()?;
 
     // Total-order selection: strictly smaller under `total_cmp` wins,
     // so equal objective bits keep the earliest start. (Not

@@ -14,6 +14,8 @@
 //! [`solve_thomas_into`] runs the Thomas algorithm over caller-owned
 //! buffers, and [`solve_tridiagonal_into`] adds the pivoted fallback on
 //! breakdown: the allocation-free path the implicit PDE steppers use.
+//! [`solve_tridiagonal_many_into`] factors once for several right-hand
+//! sides: the forward sensitivities of a θ-step, one per parameter.
 
 use crate::error::{NumericsError, Result};
 
@@ -377,6 +379,99 @@ pub fn solve_tridiagonal_into(
     }
 }
 
+/// [`solve_tridiagonal_into`] for several right-hand sides at once:
+/// `rhs` holds them back to back, `diag.len()` entries each, and is
+/// overwritten with the solutions. Thomas elimination factors the matrix
+/// once into `c_scratch` (the modified superdiagonal) and `inv_pivots`
+/// (the reciprocal pivots), then each right-hand side costs one forward
+/// and one back substitution, multiplying by the stored reciprocals
+/// where [`solve_thomas_into`] divides by the pivots; the solutions agree
+/// with it to rounding. On a zero pivot each right-hand side is solved
+/// by [`TridiagonalMatrix::solve`] (pivoted LU) instead. Both buffers
+/// need length `n`; their prior contents are never read.
+///
+/// # Errors
+///
+/// * [`NumericsError::DimensionMismatch`] on inconsistent lengths,
+///   buffers included, or an `rhs` that is not a whole number of
+///   right-hand sides.
+/// * [`NumericsError::NonFiniteValue`] and
+///   [`NumericsError::SingularMatrix`] from the pivoted fallback, as for
+///   [`solve_tridiagonal_into`].
+pub fn solve_tridiagonal_many_into(
+    sub: &[f64],
+    diag: &[f64],
+    sup: &[f64],
+    rhs: &mut [f64],
+    c_scratch: &mut [f64],
+    inv_pivots: &mut [f64],
+) -> Result<()> {
+    let n = diag.len();
+    if n == 0 || sub.len() + 1 != n || sup.len() + 1 != n {
+        return Err(NumericsError::DimensionMismatch {
+            expected: format!(
+                "n >= 1 and off-diagonals of length n - 1 = {}",
+                n.max(1) - 1
+            ),
+            actual: sub.len().max(sup.len()),
+        });
+    }
+    for (name, len, ok) in [
+        ("rhs", rhs.len(), rhs.len().is_multiple_of(n)),
+        ("c_scratch", c_scratch.len(), c_scratch.len() == n),
+        ("inv_pivots", inv_pivots.len(), inv_pivots.len() == n),
+    ] {
+        if !ok {
+            return Err(NumericsError::DimensionMismatch {
+                expected: format!("{name} length a multiple of {n}"),
+                actual: len,
+            });
+        }
+    }
+
+    // Factor once: the pivots `solve_thomas_into` computes, kept as
+    // reciprocals so the substitutions below multiply.
+    let mut pivot = diag[0];
+    let mut singular = pivot == 0.0;
+    for i in 0..n {
+        if i > 0 {
+            pivot = diag[i] - sub[i - 1] * c_scratch[i - 1];
+            singular |= pivot == 0.0;
+        }
+        inv_pivots[i] = 1.0 / pivot;
+        if i + 1 < n {
+            c_scratch[i] = sup[i] * inv_pivots[i];
+        }
+    }
+    if singular {
+        let m = TridiagonalMatrix::new(sub.to_vec(), diag.to_vec(), sup.to_vec())?;
+        for x in rhs.chunks_exact_mut(n) {
+            let solved = m.solve(x)?;
+            x.copy_from_slice(&solved);
+        }
+        return Ok(());
+    }
+    // Row by row across the right-hand sides: their substitutions are
+    // independent, so they overlap instead of queueing.
+    for x in rhs.chunks_exact_mut(n) {
+        x[0] *= inv_pivots[0];
+    }
+    for i in 1..n {
+        let (s, inv) = (sub[i - 1], inv_pivots[i]);
+        for x in rhs.chunks_exact_mut(n) {
+            x[i] = (x[i] - s * x[i - 1]) * inv;
+        }
+    }
+    for i in (0..n - 1).rev() {
+        let c = c_scratch[i];
+        for x in rhs.chunks_exact_mut(n) {
+            let next = x[i + 1];
+            x[i] -= c * next;
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -485,6 +580,61 @@ mod tests {
         solve_tridiagonal_into(m.sub(), m.diag(), m.sup(), &rhs, &mut c, &mut out).unwrap();
         assert_eq!(out.to_vec(), m.solve(&rhs).unwrap());
         assert!(residual_inf(&m, &out, &rhs) < 1e-12);
+    }
+
+    #[test]
+    fn many_right_hand_sides_match_one_at_a_time() {
+        // A dominant system solved by Thomas, and one that breaks Thomas
+        // down at pivot 0 and goes through pivoted LU.
+        for (sub, diag, sup) in [
+            (
+                vec![-0.3, -0.4, -0.1, -0.25],
+                vec![2.0, 2.1, 1.9, 2.2, 2.05],
+                vec![-0.2, -0.15, -0.35, -0.3],
+            ),
+            (
+                vec![1.0, 1.0, 0.5, 0.25],
+                vec![0.0, 1.0, 2.0, 3.0, 1.5],
+                vec![1.0, 1.0, -0.5, 0.75],
+            ),
+        ] {
+            let n = diag.len();
+            let columns: Vec<Vec<f64>> = (0..3)
+                .map(|k| (0..n).map(|i| ((i * 7 + k * 3) % 5) as f64 - 1.7).collect())
+                .collect();
+            let mut many: Vec<f64> = columns.concat();
+            let (mut c, mut inv) = (vec![f64::NAN; n], vec![f64::NAN; n]);
+            solve_tridiagonal_many_into(&sub, &diag, &sup, &mut many, &mut c, &mut inv).unwrap();
+            let m = TridiagonalMatrix::new(sub.clone(), diag.clone(), sup.clone()).unwrap();
+            for (k, column) in columns.iter().enumerate() {
+                let (mut c1, mut one) = (vec![f64::NAN; n], vec![f64::NAN; n]);
+                solve_tridiagonal_into(&sub, &diag, &sup, column, &mut c1, &mut one).unwrap();
+                let got = &many[k * n..(k + 1) * n];
+                for (a, b) in got.iter().zip(&one) {
+                    assert!(
+                        (a - b).abs() <= 1e-14 * b.abs().max(1.0),
+                        "column {k}: {a} vs {b}"
+                    );
+                }
+                assert!(residual_inf(&m, got, column) < 1e-12);
+            }
+        }
+    }
+
+    #[test]
+    fn many_right_hand_sides_reject_bad_lengths() {
+        let (sub, diag, sup) = ([1.0], [2.0, 2.0], [1.0]);
+        let (mut c, mut inv) = ([0.0; 2], [0.0; 2]);
+        let mut ragged = [1.0; 3];
+        assert!(matches!(
+            solve_tridiagonal_many_into(&sub, &diag, &sup, &mut ragged, &mut c, &mut inv),
+            Err(NumericsError::DimensionMismatch { .. })
+        ));
+        let mut short = [0.0; 1];
+        assert!(matches!(
+            solve_tridiagonal_many_into(&sub, &diag, &sup, &mut [1.0; 4], &mut c, &mut short),
+            Err(NumericsError::DimensionMismatch { .. })
+        ));
     }
 
     #[test]
