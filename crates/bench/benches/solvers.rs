@@ -1,9 +1,8 @@
 //! Criterion benches for the numerical core: the PDE time-stepper
 //! ablation (Crank–Nicolson vs explicit method-of-lines, see the
 //! `dlm_core::pde` module docs), the variable-coefficient model and
-//! the underlying kernels (tridiagonal solve, spline construction,
-//! Nelder–Mead iteration cost), and a repeated predict on one fitted
-//! model (its readout table).
+//! the underlying kernels (tridiagonal solve, spline construction), and
+//! a repeated predict on one fitted model (its readout table).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dlm_core::growth::ExpDecayGrowth;

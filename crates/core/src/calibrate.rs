@@ -66,11 +66,10 @@ use crate::model::{DlModel, DlModelBuilder};
 use crate::params::DlParameters;
 use crate::pde::{interp_row, solve_tangent, start, Parameter, SolverConfig};
 use dlm_cascade::DensityMatrix;
-use dlm_numerics::least_squares::{levenberg_marquardt_in_box, JacobianProblem, LmConfig};
+use dlm_numerics::least_squares::{local_search_in_box, JacobianProblem, LmConfig};
 use dlm_numerics::linalg::Matrix;
-use dlm_numerics::optimize::{multi_start, Minimum};
+use dlm_numerics::optimize::multi_start;
 pub use dlm_numerics::optimize::{MultiStartConfig, MultiStartOutcome};
-use dlm_numerics::NumericsError;
 
 /// What the calibration is allowed to vary.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -92,7 +91,6 @@ pub struct CalibrationOptions {
     pub solver: SolverConfig,
     /// Multi-start strategy: start count, deterministic seeding, and
     /// scheduling of the independent starts on the work-stealing pool.
-    /// (`multi_start.local` configures Nelder–Mead and is not read here.)
     /// The single-start default runs one search from the caller's seed.
     pub multi_start: MultiStartConfig,
 }
@@ -126,7 +124,7 @@ impl Default for CalibrationOptions {
 /// stops on an accepted step that moves no parameter by more than
 /// [`STEP_TOLERANCE`] of itself.
 const STALL_WINDOW: usize = 20;
-/// See [`STALL_WINDOW`]: the simplex's old `f_tol`.
+/// See [`STALL_WINDOW`].
 const STALL_GAIN: f64 = 1e-10;
 /// See [`STALL_WINDOW`].
 const STALL_SHARE: f64 = 1e-3;
@@ -146,6 +144,10 @@ pub struct Calibration {
     pub objective: f64,
     /// θ-solves consumed (across all starts).
     pub evaluations: usize,
+    /// θ-solves of the costliest start. Parallel starts cannot finish
+    /// sooner than it, so `evaluations / largest_start_evaluations` caps
+    /// the speedup of fanning the starts out.
+    pub largest_start_evaluations: usize,
     /// Number of starts searched.
     pub starts: usize,
     /// Index of the winning start (`0` is the caller's seed; `1..` are
@@ -360,32 +362,15 @@ pub fn calibrate_profiles(
             }
         }
     };
-    let search = |seed: &[f64]| -> dlm_numerics::Result<Minimum> {
-        let mut residuals = Residuals::new(&setup);
-        match levenberg_marquardt_in_box(&mut residuals, seed, &search_box, lm) {
-            Ok(fit) => Ok(Minimum {
-                value: if setup.cells.is_empty() {
-                    f64::INFINITY
-                } else {
-                    fit.sum_squares / setup.cells.len() as f64
-                },
-                x: fit.parameters,
-                evaluations: fit.evaluations,
-                converged: fit.converged,
-            }),
-            // A start whose seed has no finite objective ends there.
-            Err(NumericsError::NonFiniteValue { .. }) => Ok(Minimum {
-                x: seed
-                    .iter()
-                    .zip(&search_box)
-                    .map(|(v, &(lo, hi))| v.max(lo).min(hi))
-                    .collect(),
-                value: f64::INFINITY,
-                evaluations: 1,
-                converged: false,
-            }),
-            Err(e) => Err(e),
-        }
+    let search = |seed: &[f64]| {
+        let mut minimum = local_search_in_box(&mut Residuals::new(&setup), seed, &search_box, lm)?;
+        // The objective is the mean of the squared residuals.
+        minimum.value = if setup.cells.is_empty() {
+            f64::INFINITY
+        } else {
+            minimum.value / setup.cells.len() as f64
+        };
+        Ok(minimum)
     };
     let outcome = multi_start(&x0, &seeding_box, &options.multi_start, search)?;
     let best = &outcome.best.x;
@@ -395,6 +380,7 @@ pub fn calibrate_profiles(
         growth: ExpDecayGrowth::new(best[0], best[1], best[2]),
         objective: outcome.best.value,
         evaluations: outcome.evaluations,
+        largest_start_evaluations: outcome.start_evaluations.iter().copied().max().unwrap_or(0),
         starts: outcome.start_values.len(),
         best_start: outcome.best_start,
     })

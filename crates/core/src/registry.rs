@@ -74,7 +74,7 @@ pub enum ModelSpec {
         growth: GrowthFamily,
         /// Calibrate an independent growth curve per distance.
         per_distance_growth: bool,
-        /// Nelder–Mead starts per per-distance growth fit.
+        /// Levenberg–Marquardt starts per per-distance growth fit.
         starts: usize,
         /// Seed of the stratified start grid.
         multi_start_seed: u64,
@@ -717,7 +717,6 @@ fn nested_multi_start(starts: usize, seed: u64) -> MultiStartConfig {
         starts,
         seed,
         parallelism: dlm_numerics::pool::Parallelism::Serial,
-        ..MultiStartConfig::default()
     }
 }
 

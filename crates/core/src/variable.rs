@@ -29,7 +29,9 @@ use crate::pde::{record, solve_theta, start, FaceDiffusion, Observer, PdeSolutio
 use crate::predict::FitConfig;
 use dlm_cascade::DensityMatrix;
 use dlm_numerics::interp::LinearInterp;
-use dlm_numerics::optimize::{multi_start_nelder_mead, MultiStartConfig, NelderMeadConfig};
+use dlm_numerics::least_squares::{local_search_in_box, JacobianProblem, LmConfig};
+use dlm_numerics::linalg::Matrix;
+use dlm_numerics::optimize::{self, MultiStartConfig};
 use std::fmt;
 use std::sync::Arc;
 
@@ -460,16 +462,23 @@ pub fn calibrate_per_distance_growth_series(
     )
 }
 
+/// The classic seed `(a, b, c)` of every per-distance fit: start 0 of its
+/// multi-start, and the curve a distance with nothing to fit keeps.
+const PER_DISTANCE_SEED: [f64; 3] = [1.0, 1.0, 0.2];
+
+/// RK4 substeps per hour of the per-distance objective.
+const SUBSTEPS: usize = 20;
+
 /// [`calibrate_per_distance_growth_series`] with an explicit multi-start
-/// strategy: each distance's growth-curve fit runs
-/// `multi_start.starts` independent Nelder–Mead searches (the classic
+/// strategy: each distance's growth-curve fit runs `multi_start.starts`
+/// independent box-constrained Levenberg–Marquardt searches (the classic
 /// `[1, 1, 0.2]` seed as start 0 plus stratified restarts over the
 /// `(a, b, c)` seeding box, see `docs/CALIBRATION.md`), fanned onto the
 /// [`dlm_numerics::pool`] executor, keeping the best objective per
-/// distance under the bitwise total-order tie-break. The per-start
-/// budget is fixed at 2 000 evaluations (the classic single-start
-/// budget), so `multi_start.local` is ignored here and the single-start
-/// default reproduces [`calibrate_per_distance_growth_series`] exactly.
+/// distance under the bitwise total-order tie-break. Each start may spend
+/// 2 000 evaluations, one RK4 solve with its tangent each. A distance
+/// with no positive observation after its first hour has nothing to fit
+/// and keeps the seed curve without a search.
 ///
 /// # Errors
 ///
@@ -495,71 +504,131 @@ pub fn calibrate_per_distance_growth_series_multi(
             reason: "need at least 2 observed hours per distance".into(),
         });
     }
+    // The search keeps a, b, c ≥ 0; the seeding box only shapes where
+    // the restarts begin.
+    let search_box = [(0.0, f64::INFINITY); 3];
+    let seeding_box = [(0.0, 4.0), (0.0, 4.0), (0.0, 2.0)];
+    let lm = LmConfig {
+        max_iter: usize::MAX,
+        max_evals: 2_000,
+        ..LmConfig::default()
+    };
     let mut curves = Vec::with_capacity(series.len());
     for series in series {
-        let y0 = series[0].max(1e-6);
-        // Objective: logistic ODE with r(t) candidate vs the observed series,
-        // integrated with a cheap fixed-step scheme.
-        let target: Vec<f64> = series[..fit_hours as usize].to_vec();
-        let objective = move |p: &[f64]| -> f64 {
-            let (a, b, c) = (p[0], p[1], p[2]);
-            if !(a >= 0.0 && b >= 0.0 && c >= 0.0 && a + c < 20.0) {
-                return f64::INFINITY;
-            }
-            // Integrate dy/dt = r(t) y (1 - y/K) hourly with RK4 substeps.
-            let mut y = y0;
-            let mut err = 0.0;
-            let mut count = 0usize;
-            let sub = 20usize;
-            for (hour_idx, &obs) in target.iter().enumerate().skip(1) {
-                // Absolute time of the interval start: series entry k sits
-                // at hour initial_hour + k.
-                let t0 = f64::from(initial_hour) + (hour_idx - 1) as f64;
-                let h = 1.0 / sub as f64;
-                for s in 0..sub {
-                    let t = t0 + s as f64 * h;
-                    let r = |tt: f64| a * (-b * (tt - 1.0)).exp() + c;
-                    let f = |tt: f64, yy: f64| r(tt) * yy * (1.0 - yy / capacity);
-                    let k1 = f(t, y);
-                    let k2 = f(t + 0.5 * h, y + 0.5 * h * k1);
-                    let k3 = f(t + 0.5 * h, y + 0.5 * h * k2);
-                    let k4 = f(t + h, y + h * k3);
-                    y += h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4);
-                }
-                if obs > 0.0 {
-                    let rel = (y - obs) / obs;
-                    err += rel * rel;
-                    count += 1;
-                }
-            }
-            if count == 0 {
-                f64::INFINITY
-            } else {
-                err / count as f64
-            }
+        let fit = GrowthSeries::new(&series[..fit_hours as usize], capacity, initial_hour);
+        let best = if fit.residual_count() == 0 {
+            PER_DISTANCE_SEED.to_vec()
+        } else {
+            let search =
+                |seed: &[f64]| local_search_in_box(&mut fit.clone(), seed, &search_box, lm);
+            optimize::multi_start(&PER_DISTANCE_SEED, &seeding_box, &multi_start, search)?
+                .best
+                .x
         };
-        // Seeding box for the (a, b, c) restarts; the hard constraint
-        // a + c < 20 in the objective stays authoritative.
-        let bounds = [(0.0, 4.0), (0.0, 4.0), (0.0, 2.0)];
-        let fit = multi_start_nelder_mead(
-            objective,
-            &[1.0, 1.0, 0.2],
-            &bounds,
-            MultiStartConfig {
-                local: NelderMeadConfig {
-                    max_evals: 2_000,
-                    ..NelderMeadConfig::default()
-                },
-                ..multi_start
-            },
-        )?;
-        curves.push(ExpDecayGrowth::new(
-            fit.best.x[0].max(0.0),
-            fit.best.x[1].max(0.0),
-            fit.best.x[2].max(0.0),
-        ));
+        curves.push(ExpDecayGrowth::new(best[0], best[1], best[2]));
     }
     PerDistanceGrowth::new(1.0, curves)
+}
+
+/// One distance's fit as least squares: the logistic ODE
+/// `dy/dt = r(t)·y·(1 − y/K)` with a candidate `r(t) = a·e^{−b(t−1)} + c`,
+/// stepped hourly from the first observation, against every later
+/// positive observation. Residual `k` is `(y_k − obs_k)/obs_k/√count`, so
+/// the sum of squares is the mean squared relative error.
+#[derive(Debug, Clone)]
+struct GrowthSeries<'a> {
+    target: &'a [f64],
+    y0: f64,
+    capacity: f64,
+    /// Absolute time of `target[0]`.
+    t0: f64,
+    /// `1/√count` over the positive observations after the first.
+    weight: f64,
+    count: usize,
+}
+
+impl<'a> GrowthSeries<'a> {
+    fn new(target: &'a [f64], capacity: f64, initial_hour: u32) -> Self {
+        let count = target[1..].iter().filter(|&&obs| obs > 0.0).count();
+        Self {
+            target,
+            y0: target[0].max(1e-6),
+            capacity,
+            t0: f64::from(initial_hour),
+            weight: 1.0 / (count as f64).sqrt(),
+            count,
+        }
+    }
+}
+
+impl JacobianProblem for GrowthSeries<'_> {
+    fn residual_count(&self) -> usize {
+        self.count
+    }
+
+    fn parameter_count(&self) -> usize {
+        3
+    }
+
+    fn evaluate(&mut self, p: &[f64], residuals: &mut [f64], jacobian: &mut Matrix) {
+        let (a, b, c) = (p[0], p[1], p[2]);
+        if !(p.iter().all(|v| v.is_finite()) && a >= 0.0 && b >= 0.0 && c >= 0.0 && a + c < 20.0) {
+            residuals.fill(f64::NAN);
+            return;
+        }
+        let (mut y, mut tangent) = (self.y0, [0.0; 3]);
+        let mut k = 0;
+        for (hour, &obs) in self.target.iter().enumerate().skip(1) {
+            // Series entry `hour` sits at absolute time t0 + hour.
+            let start = self.t0 + (hour - 1) as f64;
+            rk4_hour([a, b, c], self.capacity, start, &mut y, &mut tangent);
+            if obs > 0.0 {
+                let scale = self.weight / obs;
+                residuals[k] = (y - obs) * scale;
+                for (j, &s) in tangent.iter().enumerate() {
+                    jacobian[(k, j)] = s * scale;
+                }
+                k += 1;
+            }
+        }
+    }
+}
+
+/// Steps `dy/dt = r(t)·y·(1 − y/K)` with `r(t) = a·e^{−b(t−1)} + c` over
+/// one hour from `start` by RK4 at [`SUBSTEPS`] substeps, and carries
+/// `tangent = ∂y/∂(a, b, c)` through the same stages: the exact
+/// derivative of the discrete map, not of the ODE.
+fn rk4_hour(growth: [f64; 3], capacity: f64, start: f64, y: &mut f64, tangent: &mut [f64; 3]) {
+    let [a, b, c] = growth;
+    // The right-hand side at (t, y) and its tangent along `s`:
+    // f_y·s + ∂f/∂(a, b, c).
+    let rhs = |t: f64, y: f64, s: &[f64; 3]| -> (f64, [f64; 3]) {
+        let decay = (-b * (t - 1.0)).exp();
+        let r = a * decay + c;
+        let logistic = y * (1.0 - y / capacity);
+        let f_y = r * (1.0 - 2.0 * y / capacity);
+        let dr = [decay, -a * (t - 1.0) * decay, 1.0];
+        (
+            r * y * (1.0 - y / capacity),
+            std::array::from_fn(|j| f_y * s[j] + dr[j] * logistic),
+        )
+    };
+    let h = 1.0 / SUBSTEPS as f64;
+    let shifted = |s: &[f64; 3], d: &[f64; 3], w: f64| -> [f64; 3] {
+        std::array::from_fn(|j| s[j] + w * d[j])
+    };
+    for step in 0..SUBSTEPS {
+        let t = start + step as f64 * h;
+        let s = *tangent;
+        let (k1, d1) = rhs(t, *y, &s);
+        let (k2, d2) = rhs(t + 0.5 * h, *y + 0.5 * h * k1, &shifted(&s, &d1, 0.5 * h));
+        let (k3, d3) = rhs(t + 0.5 * h, *y + 0.5 * h * k2, &shifted(&s, &d2, 0.5 * h));
+        let (k4, d4) = rhs(t + h, *y + h * k3, &shifted(&s, &d3, h));
+        *y += h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4);
+        for j in 0..3 {
+            tangent[j] += h / 6.0 * (d1[j] + 2.0 * d2[j] + 2.0 * d3[j] + d4[j]);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -733,6 +802,62 @@ mod tests {
             field.value(1.0, 1.5),
             field.value(2.0, 1.5)
         );
+    }
+
+    #[test]
+    fn a_distance_with_nothing_to_fit_keeps_the_seed_curve() {
+        // Distance 1 has no positive observation after its first hour, so
+        // its fit has no residual: it keeps the seed curve, unsearched,
+        // while distance 2 is fitted.
+        let series = [vec![0.5, 0.0, 0.0, 0.0], vec![1.0, 2.0, 3.5, 5.0]];
+        let field = calibrate_per_distance_growth_series(&series, 25.0, 1, 4).unwrap();
+        let [a, b, c] = PER_DISTANCE_SEED;
+        assert_eq!(field.curves()[0], ExpDecayGrowth::new(a, b, c));
+        assert_ne!(field.curves()[1], field.curves()[0]);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The tangent `rk4_hour` carries is the derivative of its own
+        /// discrete map: central differences of the stepped `y` agree
+        /// with it to a tight relative tolerance.
+        #[test]
+        fn rk4_tangent_matches_central_differences_of_the_discrete_map(
+            a in 0.0f64..4.0,
+            b in 0.0f64..4.0,
+            c in 0.0f64..2.0,
+            y0 in 0.01f64..20.0,
+            start in 1u32..6,
+        ) {
+            let hours = 3;
+            let run = |p: [f64; 3]| {
+                let (mut y, mut tangent) = (y0, [0.0; 3]);
+                for hour in 0..hours {
+                    rk4_hour(p, 25.0, f64::from(start + hour), &mut y, &mut tangent);
+                }
+                (y, tangent)
+            };
+            let p = [a, b, c];
+            let (y, tangent) = run(p);
+            for j in 0..3 {
+                let h = 1e-3 * p[j].max(1.0);
+                let at = |offset: f64| {
+                    let mut q = p;
+                    q[j] += offset * h;
+                    run(q).0
+                };
+                // Fourth-order central differences.
+                let central = (8.0 * (at(1.0) - at(-1.0)) - (at(2.0) - at(-2.0))) / (12.0 * h);
+                // Relative 1e-6, plus the rounding of `y` the difference
+                // quotient divides by `h`.
+                let tolerance = 1e-6 * tangent[j].abs() + 100.0 * f64::EPSILON * y / h;
+                proptest::prop_assert!(
+                    (central - tangent[j]).abs() <= tolerance,
+                    "∂y/∂p{j}: tangent {} vs central {central} at {p:?}", tangent[j]
+                );
+            }
+        }
     }
 
     #[test]

@@ -48,7 +48,6 @@ fn multi_start_calibration_is_bit_identical_across_parallelism_modes() {
                         starts: 4,
                         seed: 11,
                         parallelism,
-                        ..MultiStartConfig::default()
                     },
                     ..CalibrationOptions::default()
                 },

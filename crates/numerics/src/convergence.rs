@@ -1,5 +1,5 @@
-//! Grid-convergence diagnostics: observed order of accuracy and Richardson
-//! extrapolation.
+//! Grid-convergence diagnostics: observed order of accuracy and the
+//! Richardson-extrapolated limit.
 //!
 //! The PDE solver's correctness argument leans on *self-convergence*
 //! (halving dx/dt changes the answer by the expected factor). This module
@@ -80,28 +80,6 @@ pub fn convergence_study(
     })
 }
 
-/// Richardson-extrapolates two levels assuming a *known* order `p`:
-/// `limit ≈ fine + (fine − coarse) / (ratio^p − 1)`.
-///
-/// # Errors
-///
-/// Returns [`NumericsError::InvalidParameter`] for `ratio <= 1` or
-/// `p <= 0`, and [`NumericsError::NonFiniteValue`] for non-finite inputs.
-pub fn richardson(coarse: f64, fine: f64, ratio: f64, order: f64) -> Result<f64> {
-    if !(ratio > 1.0) || !(order > 0.0) {
-        return Err(NumericsError::InvalidParameter {
-            name: "ratio/order",
-            reason: format!("need ratio > 1 and order > 0, got {ratio}, {order}"),
-        });
-    }
-    if !coarse.is_finite() || !fine.is_finite() {
-        return Err(NumericsError::NonFiniteValue {
-            context: "richardson inputs".into(),
-        });
-    }
-    Ok(fine + (fine - coarse) / (ratio.powf(order) - 1.0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,18 +134,6 @@ mod tests {
     fn rejects_bad_ratio_and_nan() {
         assert!(convergence_study(1.0, 2.0, 2.5, 1.0).is_err());
         assert!(convergence_study(f64::NAN, 2.0, 2.5, 2.0).is_err());
-    }
-
-    #[test]
-    fn richardson_known_order() {
-        // v(h) = 5 + h²: coarse h = 0.2, fine h = 0.1.
-        let coarse = 5.0 + 0.04;
-        let fine = 5.0 + 0.01;
-        let limit = richardson(coarse, fine, 2.0, 2.0).unwrap();
-        assert!((limit - 5.0).abs() < 1e-12);
-        assert!(richardson(1.0, 2.0, 0.5, 2.0).is_err());
-        assert!(richardson(1.0, 2.0, 2.0, 0.0).is_err());
-        assert!(richardson(f64::INFINITY, 2.0, 2.0, 2.0).is_err());
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! Piecewise-linear interpolation and resampling helpers.
+//! Piecewise-linear interpolation.
 //!
 //! The φ-construction ablation compares the paper's cubic spline against a
-//! plain linear interpolant; cascade analytics also resample hourly series
-//! onto PDE grids with these helpers.
+//! plain linear interpolant, and `dlm-core::variable` blends per-distance
+//! coefficient knots with it.
 
 use crate::error::{NumericsError, Result};
 
@@ -111,30 +111,6 @@ impl LinearInterp {
     }
 }
 
-/// Resamples `(x, y)` onto `targets` with linear interpolation (clamped
-/// extrapolation).
-///
-/// # Errors
-///
-/// Propagates [`LinearInterp::new`] validation errors.
-pub fn resample(x: &[f64], y: &[f64], targets: &[f64]) -> Result<Vec<f64>> {
-    let interp = LinearInterp::new(x, y)?;
-    Ok(targets.iter().map(|&t| interp.value(t)).collect())
-}
-
-/// Generates `count` evenly spaced points covering `[lo, hi]` inclusive.
-///
-/// # Panics
-///
-/// Panics if `count < 2`.
-#[must_use]
-pub fn linspace(lo: f64, hi: f64, count: usize) -> Vec<f64> {
-    assert!(count >= 2, "linspace requires count >= 2");
-    (0..count)
-        .map(|i| lo + (hi - lo) * i as f64 / (count - 1) as f64)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,23 +150,5 @@ mod tests {
         assert!(LinearInterp::new(&[0.0, 0.0], &[1.0, 2.0]).is_err());
         assert!(LinearInterp::new(&[0.0, 1.0], &[1.0, f64::INFINITY]).is_err());
         assert!(LinearInterp::new(&[0.0, 1.0], &[1.0]).is_err());
-    }
-
-    #[test]
-    fn resample_onto_grid() {
-        let y = resample(&[0.0, 2.0], &[0.0, 4.0], &[0.0, 0.5, 1.0, 1.5, 2.0, 3.0]).unwrap();
-        assert_eq!(y, vec![0.0, 1.0, 2.0, 3.0, 4.0, 4.0]);
-    }
-
-    #[test]
-    fn linspace_endpoints_and_spacing() {
-        let v = linspace(1.0, 5.0, 5);
-        assert_eq!(v, vec![1.0, 2.0, 3.0, 4.0, 5.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "count >= 2")]
-    fn linspace_panics_on_single_point() {
-        let _ = linspace(0.0, 1.0, 1);
     }
 }

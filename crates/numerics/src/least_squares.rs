@@ -5,42 +5,12 @@
 //! residuals and their Jacobian together. `dlm-core::calibrate` fits the
 //! `dl-cal` parameters `(a, b, c, d[, K])` with it, taking the Jacobian
 //! from forward sensitivities of the Crank–Nicolson solve, so one PDE
-//! solve yields both. [`levenberg_marquardt`] is the unconstrained form
-//! for a [`LeastSquaresProblem`] that supplies residuals only; it takes
-//! its Jacobian by forward differences.
+//! solve yields both; `dlm-core::variable` fits each distance's growth
+//! curve `(a, b, c)` the same way, through the tangent of its RK4 steps.
 
 use crate::error::{NumericsError, Result};
 use crate::linalg::Matrix;
-
-/// A residual function for least squares: given parameters `p`, writes the
-/// residual vector `r(p)` (length [`LeastSquaresProblem::residual_count`]).
-pub trait LeastSquaresProblem {
-    /// Evaluates the residuals at `p` into `out`.
-    fn residuals(&self, p: &[f64], out: &mut [f64]);
-
-    /// Number of residuals (≥ number of parameters for a well-posed fit).
-    fn residual_count(&self) -> usize;
-
-    /// Number of parameters.
-    fn parameter_count(&self) -> usize;
-}
-
-impl<F> LeastSquaresProblem for (F, usize, usize)
-where
-    F: Fn(&[f64], &mut [f64]),
-{
-    fn residuals(&self, p: &[f64], out: &mut [f64]) {
-        (self.0)(p, out);
-    }
-
-    fn residual_count(&self) -> usize {
-        self.1
-    }
-
-    fn parameter_count(&self) -> usize {
-        self.2
-    }
-}
+use crate::optimize::Minimum;
 
 /// A least-squares problem that evaluates its residuals and their
 /// Jacobian in one call, the form [`levenberg_marquardt_in_box`] fits.
@@ -58,7 +28,7 @@ pub trait JacobianProblem {
     fn evaluate(&mut self, p: &[f64], residuals: &mut [f64], jacobian: &mut Matrix);
 }
 
-/// Options for [`levenberg_marquardt`] and [`levenberg_marquardt_in_box`].
+/// Options for [`levenberg_marquardt_in_box`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LmConfig {
     /// Stop once the last [`LmConfig::window`] accepted steps together
@@ -81,9 +51,6 @@ pub struct LmConfig {
     pub max_evals: usize,
     /// Initial damping parameter λ.
     pub initial_lambda: f64,
-    /// Relative step for the forward-difference Jacobian of
-    /// [`levenberg_marquardt`].
-    pub jacobian_step: f64,
 }
 
 impl Default for LmConfig {
@@ -96,7 +63,6 @@ impl Default for LmConfig {
             max_iter: 200,
             max_evals: usize::MAX,
             initial_lambda: 1e-3,
-            jacobian_step: 1e-7,
         }
     }
 }
@@ -115,98 +81,6 @@ pub struct LmFit {
     /// Whether a tolerance, a vanished step or saturated damping (rather
     /// than a budget) stopped the fit.
     pub converged: bool,
-}
-
-/// Fits parameters by Levenberg–Marquardt with a forward-difference
-/// Jacobian and no bounds.
-///
-/// # Errors
-///
-/// * [`NumericsError::DimensionMismatch`] — `p0` length differs from the
-///   problem's parameter count, or fewer residuals than parameters: with
-///   no bounds such a fit has no isolated minimum to converge to.
-/// * [`NumericsError::NonFiniteValue`] — residuals non-finite at the seed.
-///
-/// # Examples
-///
-/// ```
-/// use dlm_numerics::least_squares::{levenberg_marquardt, LmConfig};
-///
-/// # fn main() -> Result<(), dlm_numerics::NumericsError> {
-/// // Fit y = a·x + b to noiseless data; exact answer (2, -1).
-/// let xs = [0.0, 1.0, 2.0, 3.0];
-/// let ys = [-1.0, 1.0, 3.0, 5.0];
-/// let problem = (
-///     move |p: &[f64], out: &mut [f64]| {
-///         for i in 0..4 {
-///             out[i] = p[0] * xs[i] + p[1] - ys[i];
-///         }
-///     },
-///     4usize,
-///     2usize,
-/// );
-/// let fit = levenberg_marquardt(&problem, &[0.0, 0.0], LmConfig::default())?;
-/// assert!((fit.parameters[0] - 2.0).abs() < 1e-8);
-/// assert!((fit.parameters[1] + 1.0).abs() < 1e-8);
-/// # Ok(())
-/// # }
-/// ```
-pub fn levenberg_marquardt<P: LeastSquaresProblem + ?Sized>(
-    problem: &P,
-    p0: &[f64],
-    cfg: LmConfig,
-) -> Result<LmFit> {
-    let (m, n) = (problem.residual_count(), problem.parameter_count());
-    if m < n {
-        return Err(NumericsError::DimensionMismatch {
-            expected: format!("at least {n} residuals"),
-            actual: m,
-        });
-    }
-    let mut differences = ForwardDifferences {
-        problem,
-        step: cfg.jacobian_step,
-        shifted: vec![0.0; n],
-        perturbed: vec![0.0; m],
-    };
-    levenberg_marquardt_in_box(
-        &mut differences,
-        p0,
-        &vec![(f64::NEG_INFINITY, f64::INFINITY); n],
-        cfg,
-    )
-}
-
-/// A [`LeastSquaresProblem`] with its Jacobian taken by forward
-/// differences, `n + 1` residual evaluations per call.
-struct ForwardDifferences<'a, P: ?Sized> {
-    problem: &'a P,
-    step: f64,
-    shifted: Vec<f64>,
-    perturbed: Vec<f64>,
-}
-
-impl<P: LeastSquaresProblem + ?Sized> JacobianProblem for ForwardDifferences<'_, P> {
-    fn residual_count(&self) -> usize {
-        self.problem.residual_count()
-    }
-
-    fn parameter_count(&self) -> usize {
-        self.problem.parameter_count()
-    }
-
-    fn evaluate(&mut self, p: &[f64], residuals: &mut [f64], jacobian: &mut Matrix) {
-        self.problem.residuals(p, residuals);
-        for j in 0..p.len() {
-            let h = self.step * p[j].abs().max(1.0);
-            self.shifted.copy_from_slice(p);
-            self.shifted[j] += h;
-            self.problem.residuals(&self.shifted, &mut self.perturbed);
-            for (i, (&shifted, &base)) in self.perturbed.iter().zip(residuals.iter()).enumerate() {
-                jacobian[(i, j)] = (shifted - base) / h;
-            }
-        }
-    }
 }
 
 /// Minimizes `‖r(p)‖²` over the box `bounds` (one `(lo, hi)` per
@@ -400,6 +274,42 @@ pub fn levenberg_marquardt_in_box<P: JacobianProblem + ?Sized>(
     })
 }
 
+/// [`levenberg_marquardt_in_box`] as the local search of
+/// [`crate::optimize::multi_start`]: the minimum's value is the fit's sum
+/// of squares. A start whose seed has no finite residuals ends there,
+/// projected into the box, at `+∞` rather than failing every start.
+///
+/// # Errors
+///
+/// As [`levenberg_marquardt_in_box`], except
+/// [`NumericsError::NonFiniteValue`].
+pub fn local_search_in_box<P: JacobianProblem + ?Sized>(
+    problem: &mut P,
+    seed: &[f64],
+    bounds: &[(f64, f64)],
+    cfg: LmConfig,
+) -> Result<Minimum> {
+    match levenberg_marquardt_in_box(problem, seed, bounds, cfg) {
+        Ok(fit) => Ok(Minimum {
+            x: fit.parameters,
+            value: fit.sum_squares,
+            evaluations: fit.evaluations,
+            converged: fit.converged,
+        }),
+        Err(NumericsError::NonFiniteValue { .. }) => Ok(Minimum {
+            x: seed
+                .iter()
+                .zip(bounds)
+                .map(|(v, &(lo, hi))| v.max(lo).min(hi))
+                .collect(),
+            value: f64::INFINITY,
+            evaluations: 1,
+            converged: false,
+        }),
+        Err(e) => Err(e),
+    }
+}
+
 /// The damped Gauss–Newton step `(JᵀJ + λ·diag(JᵀJ))·δ = −Jᵀr` over
 /// the free parameters (the others stay put), or `None` when the damped
 /// matrix is singular or the step not finite.
@@ -473,21 +383,59 @@ fn normal_equations(jac: &Matrix, r: &[f64]) -> (Vec<f64>, Matrix) {
 mod tests {
     use super::*;
 
+    /// A problem from a closure that writes the residuals and their
+    /// analytic Jacobian.
+    struct Analytic<F> {
+        m: usize,
+        n: usize,
+        f: F,
+    }
+
+    impl<F: FnMut(&[f64], &mut [f64], &mut Matrix)> JacobianProblem for Analytic<F> {
+        fn residual_count(&self) -> usize {
+            self.m
+        }
+
+        fn parameter_count(&self) -> usize {
+            self.n
+        }
+
+        fn evaluate(&mut self, p: &[f64], r: &mut [f64], jac: &mut Matrix) {
+            (self.f)(p, r, jac);
+        }
+    }
+
+    /// Fits `m` residuals in `n` parameters with no bounds.
+    fn fit_unbounded(
+        m: usize,
+        n: usize,
+        f: impl FnMut(&[f64], &mut [f64], &mut Matrix),
+        p0: &[f64],
+    ) -> Result<LmFit> {
+        levenberg_marquardt_in_box(
+            &mut Analytic { m, n, f },
+            p0,
+            &vec![(f64::NEG_INFINITY, f64::INFINITY); n],
+            LmConfig::default(),
+        )
+    }
+
+    /// Residuals `a·x_i + b − y_i` of a straight line.
+    fn line(xs: Vec<f64>, ys: Vec<f64>) -> impl FnMut(&[f64], &mut [f64], &mut Matrix) {
+        move |p, r, jac| {
+            for i in 0..xs.len() {
+                r[i] = p[0] * xs[i] + p[1] - ys[i];
+                jac[(i, 0)] = xs[i];
+                jac[(i, 1)] = 1.0;
+            }
+        }
+    }
+
     #[test]
     fn fits_linear_model_exactly() {
         let xs: Vec<f64> = (0..10).map(|i| i as f64).collect();
         let ys: Vec<f64> = xs.iter().map(|x| 3.5 * x - 2.0).collect();
-        let m = xs.len();
-        let problem = (
-            move |p: &[f64], out: &mut [f64]| {
-                for i in 0..m {
-                    out[i] = p[0] * xs[i] + p[1] - ys[i];
-                }
-            },
-            m,
-            2usize,
-        );
-        let fit = levenberg_marquardt(&problem, &[1.0, 0.0], LmConfig::default()).unwrap();
+        let fit = fit_unbounded(xs.len(), 2, line(xs, ys), &[1.0, 0.0]).unwrap();
         assert!(fit.converged);
         assert!((fit.parameters[0] - 3.5).abs() < 1e-8);
         assert!((fit.parameters[1] + 2.0).abs() < 1e-8);
@@ -504,16 +452,16 @@ mod tests {
             .map(|t| 1.4 * (-1.5 * (t - 1.0)).exp() + 0.25)
             .collect();
         let m = ts.len();
-        let problem = (
-            move |p: &[f64], out: &mut [f64]| {
-                for i in 0..m {
-                    out[i] = p[0] * (-p[1] * (ts[i] - 1.0)).exp() + p[2] - ys[i];
-                }
-            },
-            m,
-            3usize,
-        );
-        let fit = levenberg_marquardt(&problem, &[1.0, 1.0, 0.0], LmConfig::default()).unwrap();
+        let growth = move |p: &[f64], r: &mut [f64], jac: &mut Matrix| {
+            for i in 0..m {
+                let decay = (-p[1] * (ts[i] - 1.0)).exp();
+                r[i] = p[0] * decay + p[2] - ys[i];
+                jac[(i, 0)] = decay;
+                jac[(i, 1)] = -p[0] * (ts[i] - 1.0) * decay;
+                jac[(i, 2)] = 1.0;
+            }
+        };
+        let fit = fit_unbounded(m, 3, growth, &[1.0, 1.0, 0.0]).unwrap();
         assert!(
             (fit.parameters[0] - 1.4).abs() < 1e-5,
             "{:?}",
@@ -531,18 +479,17 @@ mod tests {
         let truth = |t: f64| 25.0 / (1.0 + (25.0 / y0 - 1.0) * (-0.8 * t).exp());
         let ys: Vec<f64> = ts.iter().map(|&t| truth(t)).collect();
         let m = ts.len();
-        let problem = (
-            move |p: &[f64], out: &mut [f64]| {
-                let (r, k) = (p[0], p[1]);
-                for i in 0..m {
-                    let pred = k / (1.0 + (k / y0 - 1.0) * (-r * ts[i]).exp());
-                    out[i] = pred - ys[i];
-                }
-            },
-            m,
-            2usize,
-        );
-        let fit = levenberg_marquardt(&problem, &[0.3, 10.0], LmConfig::default()).unwrap();
+        let logistic = move |p: &[f64], r: &mut [f64], jac: &mut Matrix| {
+            let (rate, k) = (p[0], p[1]);
+            for i in 0..m {
+                let e = (-rate * ts[i]).exp();
+                let denom = 1.0 + (k / y0 - 1.0) * e;
+                r[i] = k / denom - ys[i];
+                jac[(i, 0)] = k * (k / y0 - 1.0) * ts[i] * e / (denom * denom);
+                jac[(i, 1)] = 1.0 / denom - k * e / (y0 * denom * denom);
+            }
+        };
+        let fit = fit_unbounded(m, 2, logistic, &[0.3, 10.0]).unwrap();
         assert!((fit.parameters[0] - 0.8).abs() < 1e-5);
         assert!((fit.parameters[1] - 25.0).abs() < 1e-4);
     }
@@ -556,41 +503,25 @@ mod tests {
             .enumerate()
             .map(|(i, x)| 2.0 * x + 1.0 + 0.01 * ((i * 2654435761) % 100) as f64 / 100.0)
             .collect();
-        let m = xs.len();
-        let problem = (
-            move |p: &[f64], out: &mut [f64]| {
-                for i in 0..m {
-                    out[i] = p[0] * xs[i] + p[1] - ys[i];
-                }
-            },
-            m,
-            2usize,
-        );
-        let fit = levenberg_marquardt(&problem, &[0.0, 0.0], LmConfig::default()).unwrap();
+        let fit = fit_unbounded(xs.len(), 2, line(xs, ys), &[0.0, 0.0]).unwrap();
         assert!((fit.parameters[0] - 2.0).abs() < 0.01);
         assert!((fit.parameters[1] - 1.0).abs() < 0.02);
     }
 
     #[test]
     fn rejects_wrong_parameter_length() {
-        let problem = (|_p: &[f64], out: &mut [f64]| out[0] = 0.0, 1usize, 1usize);
-        assert!(levenberg_marquardt(&problem, &[1.0, 2.0], LmConfig::default()).is_err());
-    }
-
-    #[test]
-    fn rejects_underdetermined_problem() {
-        let problem = (|_p: &[f64], out: &mut [f64]| out[0] = 0.0, 1usize, 2usize);
-        assert!(levenberg_marquardt(&problem, &[1.0, 2.0], LmConfig::default()).is_err());
+        let zero = |_: &[f64], r: &mut [f64], jac: &mut Matrix| {
+            r[0] = 0.0;
+            jac[(0, 0)] = 0.0;
+        };
+        let err = fit_unbounded(1, 1, zero, &[1.0, 2.0]).unwrap_err();
+        assert!(matches!(err, NumericsError::DimensionMismatch { .. }));
     }
 
     #[test]
     fn rejects_non_finite_seed_residuals() {
-        let problem = (
-            |_p: &[f64], out: &mut [f64]| out[0] = f64::NAN,
-            1usize,
-            1usize,
-        );
-        let err = levenberg_marquardt(&problem, &[1.0], LmConfig::default()).unwrap_err();
+        let nan = |_: &[f64], r: &mut [f64], _: &mut Matrix| r[0] = f64::NAN;
+        let err = fit_unbounded(1, 1, nan, &[1.0]).unwrap_err();
         assert!(matches!(err, NumericsError::NonFiniteValue { .. }));
     }
 
@@ -721,18 +652,43 @@ mod tests {
     }
 
     #[test]
+    fn a_local_search_from_a_non_finite_seed_ends_there() {
+        let bounds = [(0.0, 1.0)];
+        let nan = |_: &[f64], r: &mut [f64], _: &mut Matrix| r[0] = f64::NAN;
+        let mut problem = Analytic { m: 1, n: 1, f: nan };
+        let stuck =
+            local_search_in_box(&mut problem, &[3.0], &bounds, LmConfig::default()).unwrap();
+        assert_eq!(stuck.x, [1.0]);
+        assert_eq!(stuck.value, f64::INFINITY);
+        assert_eq!(stuck.evaluations, 1);
+        assert!(!stuck.converged);
+        // A finite seed runs the fit, whose sum of squares is the value.
+        let line = |p: &[f64], r: &mut [f64], jac: &mut Matrix| {
+            r[0] = p[0] - 0.25;
+            jac[(0, 0)] = 1.0;
+        };
+        let mut problem = Analytic {
+            m: 1,
+            n: 1,
+            f: line,
+        };
+        let fit = local_search_in_box(&mut problem, &[3.0], &bounds, LmConfig::default()).unwrap();
+        assert!(
+            (fit.x[0] - 0.25).abs() < 1e-8 && fit.value < 1e-16,
+            "{fit:?}"
+        );
+    }
+
+    #[test]
     fn already_converged_seed_terminates_quickly() {
         let xs = [0.0, 1.0, 2.0];
-        let problem = (
-            move |p: &[f64], out: &mut [f64]| {
-                for i in 0..3 {
-                    out[i] = p[0] * xs[i] - 2.0 * xs[i];
-                }
-            },
-            3usize,
-            1usize,
-        );
-        let fit = levenberg_marquardt(&problem, &[2.0], LmConfig::default()).unwrap();
+        let slope = move |p: &[f64], r: &mut [f64], jac: &mut Matrix| {
+            for i in 0..3 {
+                r[i] = p[0] * xs[i] - 2.0 * xs[i];
+                jac[(i, 0)] = xs[i];
+            }
+        };
+        let fit = fit_unbounded(3, 1, slope, &[2.0]).unwrap();
         assert!(fit.converged);
         assert!(fit.sum_squares < 1e-20);
         assert!(fit.iterations <= 3);

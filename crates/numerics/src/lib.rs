@@ -3,8 +3,8 @@
 //! Self-contained numerical substrate for the `dlm` workspace — the pieces
 //! of MATLAB that the ICDCS 2012 paper *Diffusive Logistic Model Towards
 //! Predicting Information Diffusion in Online Social Networks* relied on
-//! (cubic splines, `ode45`-class integrators, `fminsearch`-class
-//! optimization), implemented from scratch because the Rust scientific
+//! (cubic splines, `ode45`-class integrators, `lsqnonlin`-class
+//! least squares), implemented from scratch because the Rust scientific
 //! ecosystem offers no offline equivalent.
 //!
 //! ## Modules
@@ -15,21 +15,23 @@
 //!   equations).
 //! * [`spline`] — natural/clamped cubic splines and monotone PCHIP (the
 //!   paper's φ construction).
-//! * [`interp`] — piecewise-linear interpolation and resampling.
+//! * [`interp`] — piecewise-linear interpolation.
 //! * [`ode`] — RK4 and adaptive Dormand–Prince 4(5), the method-of-lines
 //!   cross-checks behind `dlm_core::pde::solve` (RK4 also integrates the
-//!   ODE baselines); `backward_euler` has no caller in the workspace.
-//! * [`optimize`] — Nelder–Mead, golden section, grid search, and
-//!   deterministic pool-parallel multi-start search around any local
-//!   search (parameter calibration).
+//!   ODE baselines).
+//! * [`optimize`] — deterministic pool-parallel multi-start search around
+//!   a local search (parameter calibration).
 //! * [`mix`] — the SplitMix64 avalanche shared by the multi-start seed
 //!   grid and the router's ring hashing.
 //! * [`pool`] — scoped work-stealing executor for embarrassingly parallel
 //!   grids (batch evaluation).
-//! * [`least_squares`] — box-constrained Levenberg–Marquardt (the `dl-cal`
-//!   calibration).
-//! * [`stats`] — descriptive statistics and the paper's Eq.-8 accuracy.
-//! * [`convergence`] — observed-order studies and Richardson extrapolation.
+//! * [`least_squares`] — box-constrained Levenberg–Marquardt, the one
+//!   optimizer: the `dl-cal` calibration and `variable-dl`'s per-distance
+//!   growth fits.
+//! * [`stats`] — the mean, the paper's Eq.-8 accuracy and a least-squares
+//!   line.
+//! * [`convergence`] — observed-order studies with their
+//!   Richardson-extrapolated limit.
 //!
 //! ## Example
 //!

@@ -2,19 +2,19 @@
 //!
 //! The diffusive logistic PDE is solved in `dlm-core` by the method of lines:
 //! discretize space, then integrate the resulting ODE system `y′ = f(t, y)`
-//! in time. Three integrators are provided, trading robustness for cost:
+//! in time. Two explicit integrators are provided, trading cost for
+//! accuracy control:
 //!
 //! * [`rk4`] — classic fixed-step 4th-order Runge–Kutta;
 //! * [`DormandPrince45`] — adaptive embedded 4(5) pair with PI step control
-//!   (the default for non-stiff method-of-lines runs);
-//! * [`backward_euler`] — L-stable implicit method with damped Newton, for
-//!   stiff fine-grid discretizations.
+//!   (the default for non-stiff method-of-lines runs).
+//!
+//! Stiff fine-grid runs use `dlm-core`'s implicit θ-stepper instead.
 //!
 //! All integrators work on `&[f64]` state vectors and a user-supplied
 //! right-hand side `f(t, y, dy)` that writes the derivative into `dy`.
 
 use crate::error::{NumericsError, Result};
-use crate::tridiag::TridiagonalMatrix;
 
 /// Right-hand side of an ODE system: writes `y′(t)` into `dy`.
 pub trait OdeSystem {
@@ -269,8 +269,8 @@ impl DormandPrince45 {
     ///
     /// * [`NumericsError::InvalidParameter`] — bad span or tolerances.
     /// * [`NumericsError::StepSizeUnderflow`] — error control forced the
-    ///   step below `min_step` (usually a stiff problem; use
-    ///   [`backward_euler`]).
+    ///   step below `min_step` (usually a stiff problem; use an implicit
+    ///   scheme).
     /// * [`NumericsError::NoConvergence`] — `max_steps` exhausted.
     /// * [`NumericsError::NonFiniteValue`] — solution blew up.
     pub fn integrate<S: OdeSystem + ?Sized>(
@@ -427,110 +427,6 @@ impl DormandPrince45 {
     }
 }
 
-/// Integrates a (possibly stiff) system with backward Euler and a damped
-/// Newton iteration at each step, using a caller-supplied tridiagonal
-/// Jacobian of the right-hand side.
-///
-/// The method-of-lines discretization of the DL equation has a tridiagonal
-/// Jacobian (diffusion couples nearest neighbours only; the reaction term is
-/// diagonal), so each Newton step costs O(n).
-///
-/// `jacobian(t, y)` must return the tridiagonal `∂f/∂y` evaluated at `(t, y)`.
-///
-/// # Errors
-///
-/// * [`NumericsError::InvalidParameter`] — bad span or `steps == 0`.
-/// * [`NumericsError::NoConvergence`] — Newton failed to converge at a step.
-/// * Propagates solver errors from the inner tridiagonal solve.
-pub fn backward_euler<S, J>(
-    sys: &S,
-    jacobian: J,
-    t0: f64,
-    t1: f64,
-    y0: &[f64],
-    steps: usize,
-) -> Result<Trajectory>
-where
-    S: OdeSystem + ?Sized,
-    J: Fn(f64, &[f64]) -> TridiagonalMatrix,
-{
-    validate_span(t0, t1, y0, sys.dim())?;
-    if steps == 0 {
-        return Err(NumericsError::InvalidParameter {
-            name: "steps",
-            reason: "must be positive".into(),
-        });
-    }
-    const NEWTON_MAX: usize = 50;
-    const NEWTON_TOL: f64 = 1e-11;
-
-    let n = y0.len();
-    let h = (t1 - t0) / steps as f64;
-    let mut y = y0.to_vec();
-    let mut traj = Trajectory::new();
-    traj.push(t0, y.clone());
-    let mut f = vec![0.0; n];
-
-    for s in 0..steps {
-        let t_next = t0 + (s + 1) as f64 * h;
-        // Solve G(u) = u - y - h f(t_next, u) = 0 by Newton, seeded at y.
-        let mut u = y.clone();
-        let mut converged = false;
-        let mut last_res = f64::INFINITY;
-        for _ in 0..NEWTON_MAX {
-            sys.eval(t_next, &u, &mut f);
-            let g: Vec<f64> = (0..n).map(|i| u[i] - y[i] - h * f[i]).collect();
-            let res = g.iter().map(|v| v.abs()).fold(0.0, f64::max);
-            last_res = res;
-            if res < NEWTON_TOL {
-                converged = true;
-                break;
-            }
-            // Newton matrix: I - h J.
-            let j = jacobian(t_next, &u);
-            let m = TridiagonalMatrix::new(
-                j.sub().iter().map(|v| -h * v).collect(),
-                j.diag().iter().map(|v| 1.0 - h * v).collect(),
-                j.sup().iter().map(|v| -h * v).collect(),
-            )?;
-            let delta = m.solve(&g)?;
-            // Damped update: halve until the residual does not explode.
-            let mut lambda = 1.0;
-            let mut accepted = false;
-            for _ in 0..8 {
-                let trial: Vec<f64> = (0..n).map(|i| u[i] - lambda * delta[i]).collect();
-                sys.eval(t_next, &trial, &mut f);
-                let trial_res = (0..n)
-                    .map(|i| (trial[i] - y[i] - h * f[i]).abs())
-                    .fold(0.0, f64::max);
-                if trial_res.is_finite() && trial_res < res {
-                    u = trial;
-                    accepted = true;
-                    break;
-                }
-                lambda *= 0.5;
-            }
-            if !accepted {
-                // Full step as a last resort; Newton on smooth logistic
-                // problems recovers on the next iteration.
-                for i in 0..n {
-                    u[i] -= delta[i];
-                }
-            }
-        }
-        if !converged {
-            return Err(NumericsError::NoConvergence {
-                algorithm: "backward-euler newton",
-                iterations: NEWTON_MAX,
-                residual: last_res,
-            });
-        }
-        y = u;
-        traj.push(t_next, y.clone());
-    }
-    Ok(traj)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -683,66 +579,6 @@ mod tests {
         });
         let sys = exp_system(1.0);
         assert!(solver.integrate(&sys, 0.0, 1.0, &[1.0]).is_err());
-    }
-
-    #[test]
-    fn backward_euler_decay_is_stable_with_huge_steps() {
-        // Stiff decay y' = -1000 y. Explicit RK4 with 10 steps would explode;
-        // backward Euler stays bounded and monotone.
-        let sys = (
-            |_t: f64, y: &[f64], dy: &mut [f64]| dy[0] = -1000.0 * y[0],
-            1usize,
-        );
-        let jac =
-            |_t: f64, _y: &[f64]| TridiagonalMatrix::new(vec![], vec![-1000.0], vec![]).unwrap();
-        let traj = backward_euler(&sys, jac, 0.0, 1.0, &[1.0], 10).unwrap();
-        for w in traj.states().windows(2) {
-            assert!(w[1][0].abs() <= w[0][0].abs() + 1e-12);
-        }
-        let (_, y) = traj.last().unwrap();
-        assert!(y[0].abs() < 1e-3);
-    }
-
-    #[test]
-    fn backward_euler_logistic_first_order_accuracy() {
-        let (r, k, y0) = (0.9, 25.0, 1.0);
-        let sys = logistic_system(r, k);
-        let jac = move |_t: f64, y: &[f64]| {
-            TridiagonalMatrix::new(vec![], vec![r * (1.0 - 2.0 * y[0] / k)], vec![]).unwrap()
-        };
-        let exact = logistic_exact(5.0, y0, r, k);
-        let coarse = {
-            let t = backward_euler(&sys, jac, 0.0, 5.0, &[y0], 100).unwrap();
-            (t.last().unwrap().1[0] - exact).abs()
-        };
-        let fine = {
-            let t = backward_euler(&sys, jac, 0.0, 5.0, &[y0], 200).unwrap();
-            (t.last().unwrap().1[0] - exact).abs()
-        };
-        // First order: error halves with the step.
-        let ratio = coarse / fine;
-        assert!(ratio > 1.7 && ratio < 2.3, "observed ratio {ratio}");
-    }
-
-    #[test]
-    fn backward_euler_system_with_coupling() {
-        // Two-component linear system with tridiagonal Jacobian:
-        // y0' = -y0 + y1 ; y1' = y0 - y1. Sum is conserved.
-        let sys = (
-            |_t: f64, y: &[f64], dy: &mut [f64]| {
-                dy[0] = -y[0] + y[1];
-                dy[1] = y[0] - y[1];
-            },
-            2usize,
-        );
-        let jac = |_t: f64, _y: &[f64]| {
-            TridiagonalMatrix::new(vec![1.0], vec![-1.0, -1.0], vec![1.0]).unwrap()
-        };
-        let traj = backward_euler(&sys, jac, 0.0, 10.0, &[2.0, 0.0], 400).unwrap();
-        let (_, y) = traj.last().unwrap();
-        assert!((y[0] + y[1] - 2.0).abs() < 1e-8, "sum drifted: {:?}", y);
-        // Long-time limit is the average (1, 1).
-        assert!((y[0] - 1.0).abs() < 1e-3 && (y[1] - 1.0).abs() < 1e-3);
     }
 
     #[test]

@@ -1,14 +1,13 @@
-//! Derivative-free minimization: Nelder–Mead simplex, golden-section line
-//! search, grid search, and deterministic multi-start search.
+//! Deterministic multi-start search around a local search.
 //!
-//! `dlm-core::variable` fits per-distance growth curves with Nelder–Mead
-//! (MATLAB's `fminsearch`, the authors' likely companion). Because a local
-//! search can strand in a poor basin, [`multi_start`] restarts any local
-//! search — Nelder–Mead through [`multi_start_nelder_mead`], or the
-//! Levenberg–Marquardt fit behind `dlm-core::calibrate` — from a
-//! deterministic stratified grid of seed points ([`stratified_starts`])
-//! and fans the independent starts onto the work-stealing executor in
-//! [`crate::pool`]. Selection is a total order
+//! Both calibrating fits in `dlm-core` — the `dl-cal` parameters and the
+//! per-distance growth curves of `variable-dl` — minimize by
+//! box-constrained Levenberg–Marquardt
+//! ([`crate::least_squares::levenberg_marquardt_in_box`]), a local search
+//! that can strand in a poor basin. [`multi_start`] restarts any local
+//! search from a deterministic stratified grid of seed points
+//! ([`stratified_starts`]) and fans the independent starts onto the
+//! work-stealing executor in [`crate::pool`]. Selection is a total order
 //! (objective bits, then start index), so the outcome is byte-identical
 //! under every [`Parallelism`] setting. The fitting semantics are
 //! specified normatively in `docs/CALIBRATION.md`.
@@ -30,350 +29,8 @@ pub struct Minimum {
     pub converged: bool,
 }
 
-/// Options for [`nelder_mead`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NelderMeadConfig {
-    /// Terminate when the simplex's objective spread falls below this.
-    pub f_tol: f64,
-    /// Terminate when the simplex diameter falls below this.
-    pub x_tol: f64,
-    /// Maximum number of objective evaluations.
-    pub max_evals: usize,
-    /// Relative size of the initial simplex around the seed point.
-    pub initial_scale: f64,
-}
-
-impl Default for NelderMeadConfig {
-    fn default() -> Self {
-        Self {
-            f_tol: 1e-10,
-            x_tol: 1e-10,
-            max_evals: 20_000,
-            initial_scale: 0.1,
-        }
-    }
-}
-
-/// Minimizes `f` with the Nelder–Mead downhill simplex method.
-///
-/// `x0` seeds the simplex; coordinates equal to zero get an absolute
-/// perturbation. Non-finite objective values are treated as `+∞`, which lets
-/// callers impose hard constraints by returning `f64::INFINITY` outside the
-/// feasible region.
-///
-/// # Errors
-///
-/// * [`NumericsError::DimensionMismatch`] — empty `x0`.
-/// * [`NumericsError::InvalidParameter`] — non-finite seed or bad config.
-///
-/// # Examples
-///
-/// ```
-/// use dlm_numerics::optimize::{nelder_mead, NelderMeadConfig};
-///
-/// # fn main() -> Result<(), dlm_numerics::NumericsError> {
-/// // Rosenbrock's banana function, minimum at (1, 1).
-/// let rosen = |p: &[f64]| {
-///     let (x, y) = (p[0], p[1]);
-///     (1.0 - x).powi(2) + 100.0 * (y - x * x).powi(2)
-/// };
-/// let m = nelder_mead(rosen, &[-1.2, 1.0], NelderMeadConfig::default())?;
-/// assert!((m.x[0] - 1.0).abs() < 1e-4 && (m.x[1] - 1.0).abs() < 1e-4);
-/// # Ok(())
-/// # }
-/// ```
-pub fn nelder_mead<F: FnMut(&[f64]) -> f64>(
-    mut f: F,
-    x0: &[f64],
-    cfg: NelderMeadConfig,
-) -> Result<Minimum> {
-    let n = x0.len();
-    if n == 0 {
-        return Err(NumericsError::DimensionMismatch {
-            expected: "at least one dimension".into(),
-            actual: 0,
-        });
-    }
-    if x0.iter().any(|v| !v.is_finite()) {
-        return Err(NumericsError::InvalidParameter {
-            name: "x0",
-            reason: "seed must be finite".into(),
-        });
-    }
-    if cfg.max_evals == 0 {
-        return Err(NumericsError::InvalidParameter {
-            name: "max_evals",
-            reason: "must be positive".into(),
-        });
-    }
-
-    // Standard coefficients.
-    const ALPHA: f64 = 1.0; // reflection
-    const GAMMA: f64 = 2.0; // expansion
-    const RHO: f64 = 0.5; // contraction
-    const SIGMA: f64 = 0.5; // shrink
-
-    let mut evals = 0usize;
-    let mut eval = |p: &[f64], evals: &mut usize| -> f64 {
-        *evals += 1;
-        let v = f(p);
-        if v.is_finite() {
-            v
-        } else {
-            f64::INFINITY
-        }
-    };
-
-    // Build the initial simplex: x0 plus n perturbed vertices.
-    let mut simplex: Vec<Vec<f64>> = Vec::with_capacity(n + 1);
-    simplex.push(x0.to_vec());
-    for i in 0..n {
-        let mut v = x0.to_vec();
-        let delta = if v[i] != 0.0 {
-            cfg.initial_scale * v[i].abs()
-        } else {
-            cfg.initial_scale
-        };
-        v[i] += delta;
-        simplex.push(v);
-    }
-    let mut values: Vec<f64> = simplex.iter().map(|v| eval(v, &mut evals)).collect();
-
-    let mut converged = false;
-    while evals < cfg.max_evals {
-        // Order vertices by objective.
-        let mut order: Vec<usize> = (0..=n).collect();
-        order.sort_by(|&a, &b| {
-            values[a]
-                .partial_cmp(&values[b])
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        let best = order[0];
-        let worst = order[n];
-        let second_worst = order[n - 1];
-
-        // Convergence tests.
-        let f_spread = values[worst] - values[best];
-        let x_spread = (0..n)
-            .map(|i| {
-                simplex
-                    .iter()
-                    .map(|v| v[i])
-                    .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), x| {
-                        (lo.min(x), hi.max(x))
-                    })
-            })
-            .map(|(lo, hi)| hi - lo)
-            .fold(0.0, f64::max);
-        // fminsearch-style criterion: require BOTH spreads small. Using
-        // "either" stops prematurely whenever two vertices tie in objective.
-        if f_spread.is_finite() && f_spread <= cfg.f_tol && x_spread <= cfg.x_tol {
-            converged = true;
-            break;
-        }
-
-        // Centroid of all but the worst vertex.
-        let mut centroid = vec![0.0; n];
-        for (idx, v) in simplex.iter().enumerate() {
-            if idx == worst {
-                continue;
-            }
-            for i in 0..n {
-                centroid[i] += v[i] / n as f64;
-            }
-        }
-
-        // Reflection.
-        let reflected: Vec<f64> = (0..n)
-            .map(|i| centroid[i] + ALPHA * (centroid[i] - simplex[worst][i]))
-            .collect();
-        let f_reflected = eval(&reflected, &mut evals);
-
-        if f_reflected < values[best] {
-            // Expansion.
-            let expanded: Vec<f64> = (0..n)
-                .map(|i| centroid[i] + GAMMA * (reflected[i] - centroid[i]))
-                .collect();
-            let f_expanded = eval(&expanded, &mut evals);
-            if f_expanded < f_reflected {
-                simplex[worst] = expanded;
-                values[worst] = f_expanded;
-            } else {
-                simplex[worst] = reflected;
-                values[worst] = f_reflected;
-            }
-        } else if f_reflected < values[second_worst] {
-            simplex[worst] = reflected;
-            values[worst] = f_reflected;
-        } else {
-            // Contraction (outside if the reflection improved on the worst).
-            let (base, f_base) = if f_reflected < values[worst] {
-                (&reflected, f_reflected)
-            } else {
-                (&simplex[worst].clone(), values[worst])
-            };
-            let contracted: Vec<f64> = (0..n)
-                .map(|i| centroid[i] + RHO * (base[i] - centroid[i]))
-                .collect();
-            let f_contracted = eval(&contracted, &mut evals);
-            if f_contracted < f_base {
-                simplex[worst] = contracted;
-                values[worst] = f_contracted;
-            } else {
-                // Shrink toward the best vertex.
-                let best_v = simplex[best].clone();
-                for (idx, v) in simplex.iter_mut().enumerate() {
-                    if idx == best {
-                        continue;
-                    }
-                    for i in 0..n {
-                        v[i] = best_v[i] + SIGMA * (v[i] - best_v[i]);
-                    }
-                }
-                for idx in 0..=n {
-                    if idx != best {
-                        values[idx] = eval(&simplex[idx].clone(), &mut evals);
-                    }
-                }
-            }
-        }
-    }
-
-    let (best_idx, _) = values
-        .iter()
-        .enumerate()
-        .min_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-        .expect("simplex nonempty");
-    Ok(Minimum {
-        x: simplex[best_idx].clone(),
-        value: values[best_idx],
-        evaluations: evals,
-        converged,
-    })
-}
-
-/// Minimizes a unimodal scalar function on `[lo, hi]` by golden-section
-/// search.
-///
-/// # Errors
-///
-/// Returns [`NumericsError::InvalidParameter`] if the interval is empty or
-/// not finite.
-pub fn golden_section<F: FnMut(f64) -> f64>(
-    mut f: F,
-    lo: f64,
-    hi: f64,
-    x_tol: f64,
-) -> Result<(f64, f64)> {
-    if !(lo.is_finite() && hi.is_finite()) || hi <= lo {
-        return Err(NumericsError::InvalidParameter {
-            name: "interval",
-            reason: format!("need finite lo < hi, got [{lo}, {hi}]"),
-        });
-    }
-    let inv_phi = (5.0f64.sqrt() - 1.0) / 2.0;
-    let (mut a, mut b) = (lo, hi);
-    let mut c = b - inv_phi * (b - a);
-    let mut d = a + inv_phi * (b - a);
-    let mut fc = f(c);
-    let mut fd = f(d);
-    while (b - a).abs() > x_tol {
-        if fc < fd {
-            b = d;
-            d = c;
-            fd = fc;
-            c = b - inv_phi * (b - a);
-            fc = f(c);
-        } else {
-            a = c;
-            c = d;
-            fc = fd;
-            d = a + inv_phi * (b - a);
-            fd = f(d);
-        }
-    }
-    let x = 0.5 * (a + b);
-    let v = f(x);
-    Ok((x, v))
-}
-
-/// Exhaustive grid search over axis-aligned parameter ranges.
-///
-/// `ranges` gives `(lo, hi)` per dimension; `points_per_dim` grid points are
-/// placed on each axis (inclusive of both ends). Returns the best grid point.
-/// Intended for coarse seeding of [`nelder_mead`].
-///
-/// # Errors
-///
-/// * [`NumericsError::DimensionMismatch`] — empty `ranges`.
-/// * [`NumericsError::InvalidParameter`] — `points_per_dim < 2` or a bad
-///   range.
-pub fn grid_search<F: FnMut(&[f64]) -> f64>(
-    mut f: F,
-    ranges: &[(f64, f64)],
-    points_per_dim: usize,
-) -> Result<Minimum> {
-    if ranges.is_empty() {
-        return Err(NumericsError::DimensionMismatch {
-            expected: "at least one range".into(),
-            actual: 0,
-        });
-    }
-    if points_per_dim < 2 {
-        return Err(NumericsError::InvalidParameter {
-            name: "points_per_dim",
-            reason: "need at least 2 points per dimension".into(),
-        });
-    }
-    for &(lo, hi) in ranges {
-        if !(lo.is_finite() && hi.is_finite()) || hi < lo {
-            return Err(NumericsError::InvalidParameter {
-                name: "ranges",
-                reason: format!("bad range [{lo}, {hi}]"),
-            });
-        }
-    }
-
-    let dims = ranges.len();
-    let mut idx = vec![0usize; dims];
-    let mut best_x = vec![0.0; dims];
-    let mut best_v = f64::INFINITY;
-    let mut evals = 0usize;
-    let total = points_per_dim.pow(dims as u32);
-
-    for _ in 0..total {
-        let x: Vec<f64> = (0..dims)
-            .map(|i| {
-                let (lo, hi) = ranges[i];
-                lo + (hi - lo) * idx[i] as f64 / (points_per_dim - 1) as f64
-            })
-            .collect();
-        let v = f(&x);
-        evals += 1;
-        if v.is_finite() && v < best_v {
-            best_v = v;
-            best_x = x;
-        }
-        // Odometer increment.
-        for digit in idx.iter_mut() {
-            *digit += 1;
-            if *digit < points_per_dim {
-                break;
-            }
-            *digit = 0;
-        }
-    }
-    Ok(Minimum {
-        x: best_x,
-        value: best_v,
-        evaluations: evals,
-        converged: true,
-    })
-}
-
-/// Options for [`multi_start`] and [`multi_start_nelder_mead`]: how many
-/// independent local searches to run, how their seed points are
-/// generated, the per-start Nelder–Mead settings, and how the starts are
+/// Options for [`multi_start`]: how many independent local searches to
+/// run, how their seed points are generated, and how the starts are
 /// scheduled.
 ///
 /// The default is a **single** start — exactly one local search from the
@@ -388,10 +45,6 @@ pub struct MultiStartConfig {
     /// [`stratified_starts`]). Two searches with equal seeds, bounds and
     /// start counts use identical start points.
     pub seed: u64,
-    /// The Nelder–Mead configuration [`multi_start_nelder_mead`] applies
-    /// to **each** start: the total objective budget is
-    /// `starts × local.max_evals`. [`multi_start`] does not read it.
-    pub local: NelderMeadConfig,
     /// How the independent starts are scheduled on [`crate::pool`].
     /// Purely a wall-clock knob: the outcome is byte-identical across
     /// every setting.
@@ -403,14 +56,13 @@ impl Default for MultiStartConfig {
         Self {
             starts: 1,
             seed: 0,
-            local: NelderMeadConfig::default(),
             parallelism: Parallelism::Auto,
         }
     }
 }
 
 impl MultiStartConfig {
-    /// A config running `starts` starts with default seeding, budget and
+    /// A config running `starts` starts with default seeding and
     /// scheduling.
     #[must_use]
     pub fn new(starts: usize) -> Self {
@@ -420,7 +72,7 @@ impl MultiStartConfig {
         }
     }
 
-    /// The single-start config: plain Nelder–Mead from the caller's
+    /// The single-start config: one local search from the caller's
     /// seed.
     #[must_use]
     pub fn single() -> Self {
@@ -438,6 +90,8 @@ pub struct MultiStartOutcome {
     pub best_start: usize,
     /// The objective value each start converged to, in start order.
     pub start_values: Vec<f64>,
+    /// Objective evaluations each start consumed, in start order.
+    pub start_evaluations: Vec<usize>,
     /// Objective evaluations consumed across all starts.
     pub evaluations: usize,
 }
@@ -513,62 +167,12 @@ pub fn stratified_starts(bounds: &[(f64, f64)], count: usize, seed: u64) -> Resu
     Ok(points)
 }
 
-/// Minimizes `f` by running independent Nelder–Mead searches from the
-/// caller's seed `x0` (start 0) plus `cfg.starts - 1` stratified points
-/// inside `bounds`, through [`multi_start`], and returns the best local
-/// minimum found.
-///
-/// Since start 0 *is* the plain single-start search, the multi-start
-/// objective value is never worse than `nelder_mead(f, x0, cfg.local)`'s.
-/// `bounds` only shapes the seeding; it imposes no constraint on the
-/// local searches — express hard constraints in `f` by returning
-/// `f64::INFINITY` outside the feasible region, exactly as with
-/// [`nelder_mead`].
-///
-/// # Errors
-///
-/// As [`multi_start`], plus a non-finite seed or a bad local config
-/// (propagated from [`nelder_mead`]).
-///
-/// # Examples
-///
-/// ```
-/// use dlm_numerics::optimize::{multi_start_nelder_mead, MultiStartConfig};
-///
-/// # fn main() -> Result<(), dlm_numerics::NumericsError> {
-/// // A double well: local minimum at x = -1 (value 0.5), global
-/// // minimum at x = 2 (value 0). Seeded at -1.2, the single start
-/// // settles in the wrong basin; the stratified restarts escape it.
-/// let f = |p: &[f64]| {
-///     let x = p[0];
-///     ((x + 1.0).powi(2) + 0.5).min((x - 2.0).powi(2))
-/// };
-/// let outcome =
-///     multi_start_nelder_mead(f, &[-1.2], &[(-4.0, 4.0)], MultiStartConfig::new(6))?;
-/// assert!((outcome.best.x[0] - 2.0).abs() < 1e-3);
-/// assert_eq!(outcome.start_values.len(), 6);
-/// // The winner is at least as good as the caller's seed basin.
-/// assert!(outcome.best.value <= outcome.start_values[0]);
-/// # Ok(())
-/// # }
-/// ```
-pub fn multi_start_nelder_mead<F>(
-    f: F,
-    x0: &[f64],
-    bounds: &[(f64, f64)],
-    cfg: MultiStartConfig,
-) -> Result<MultiStartOutcome>
-where
-    F: Fn(&[f64]) -> f64 + Sync,
-{
-    multi_start(x0, bounds, &cfg, |seed| nelder_mead(&f, seed, cfg.local))
-}
-
 /// Runs the local search `search` from the caller's seed `x0` (start 0)
 /// plus `cfg.starts - 1` stratified points inside `bounds`
 /// ([`stratified_starts`] keyed by `cfg.seed`), and returns the best
-/// local minimum found. `cfg.local` is not read: `search` carries its
-/// own settings.
+/// local minimum found. `search` carries its own settings and budget;
+/// since start 0 *is* the single search from `x0`, the outcome is never
+/// worse than that search's.
 ///
 /// The starts are scheduled on the work-stealing executor in
 /// [`crate::pool`] under `cfg.parallelism`; because each start is an
@@ -588,6 +192,36 @@ where
 ///   checked when `cfg.starts > 1`, since a single start generates no
 ///   grid).
 /// * The first error any start's `search` returns, in start order.
+///
+/// # Examples
+///
+/// ```
+/// use dlm_numerics::optimize::{multi_start, Minimum, MultiStartConfig};
+///
+/// # fn main() -> Result<(), dlm_numerics::NumericsError> {
+/// // A double well: local minimum at x = -1 (value 0.5), global
+/// // minimum at x = 2 (value 0).
+/// let f = |x: f64| ((x + 1.0).powi(2) + 0.5).min((x - 2.0).powi(2));
+/// // The local search walks downhill in steps of 1e-3 until neither
+/// // neighbour is lower.
+/// let descend = |seed: &[f64]| {
+///     let (mut x, mut evaluations) = (seed[0], 1);
+///     while let Some(next) = [x - 1e-3, x + 1e-3].into_iter().find(|&n| f(n) < f(x)) {
+///         x = next;
+///         evaluations += 2;
+///     }
+///     Ok(Minimum { x: vec![x], value: f(x), evaluations, converged: true })
+/// };
+/// // Seeded at -1.2, the single start settles in the wrong basin; the
+/// // stratified restarts escape it.
+/// let outcome = multi_start(&[-1.2], &[(-4.0, 4.0)], &MultiStartConfig::new(6), descend)?;
+/// assert!((outcome.best.x[0] - 2.0).abs() < 1e-3);
+/// assert_eq!(outcome.start_values.len(), 6);
+/// // The winner is at least as good as the caller's seed basin.
+/// assert!(outcome.best.value <= outcome.start_values[0]);
+/// # Ok(())
+/// # }
+/// ```
 pub fn multi_start<S>(
     x0: &[f64],
     bounds: &[(f64, f64)],
@@ -627,6 +261,7 @@ where
         best: minima[best_start].clone(),
         best_start,
         start_values: minima.iter().map(|m| m.value).collect(),
+        start_evaluations: minima.iter().map(|m| m.evaluations).collect(),
         evaluations: minima.iter().map(|m| m.evaluations).sum(),
     })
 }
@@ -635,135 +270,35 @@ where
 mod tests {
     use super::*;
 
-    #[test]
-    fn nelder_mead_quadratic_bowl() {
-        let m = nelder_mead(
-            |p| (p[0] - 3.0).powi(2) + (p[1] + 1.0).powi(2),
-            &[0.0, 0.0],
-            NelderMeadConfig::default(),
-        )
-        .unwrap();
-        assert!(m.converged);
-        assert!((m.x[0] - 3.0).abs() < 1e-5);
-        assert!((m.x[1] + 1.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn nelder_mead_rosenbrock() {
-        let m = nelder_mead(
-            |p| (1.0 - p[0]).powi(2) + 100.0 * (p[1] - p[0] * p[0]).powi(2),
-            &[-1.2, 1.0],
-            NelderMeadConfig::default(),
-        )
-        .unwrap();
-        assert!((m.x[0] - 1.0).abs() < 1e-4, "{:?}", m.x);
-        assert!((m.x[1] - 1.0).abs() < 1e-4);
-    }
-
-    #[test]
-    fn nelder_mead_1d() {
-        let m = nelder_mead(
-            |p| (p[0] - 0.5).powi(2) + 2.0,
-            &[10.0],
-            NelderMeadConfig::default(),
-        )
-        .unwrap();
-        assert!((m.x[0] - 0.5).abs() < 1e-4);
-        assert!((m.value - 2.0).abs() < 1e-8);
-    }
-
-    #[test]
-    fn nelder_mead_respects_infinity_constraints() {
-        // Constrain x >= 1 by returning infinity below it; minimum of (x-0)² then sits at 1.
-        let m = nelder_mead(
-            |p| {
-                if p[0] < 1.0 {
-                    f64::INFINITY
-                } else {
-                    p[0] * p[0]
+    /// A compass search, the local search of these tests: try a step
+    /// of ±`step` along each axis, keep the first that lowers `f`, and
+    /// halve the step when none does.
+    fn compass(f: impl Fn(&[f64]) -> f64, seed: &[f64]) -> Result<Minimum> {
+        let (mut x, mut value, mut evaluations) = (seed.to_vec(), f(seed), 1);
+        let mut step = 1.0;
+        while step > 1e-9 {
+            let mut moved = false;
+            for i in 0..x.len() {
+                for direction in [1.0, -1.0] {
+                    let mut trial = x.clone();
+                    trial[i] += direction * step;
+                    let v = f(&trial);
+                    evaluations += 1;
+                    if v < value {
+                        (x, value, moved) = (trial, v, true);
+                    }
                 }
-            },
-            &[3.0],
-            NelderMeadConfig::default(),
-        )
-        .unwrap();
-        assert!((m.x[0] - 1.0).abs() < 1e-4, "{:?}", m.x);
-    }
-
-    #[test]
-    fn nelder_mead_budget_is_respected() {
-        let cfg = NelderMeadConfig {
-            max_evals: 40,
-            f_tol: 0.0,
-            x_tol: 0.0,
-            ..NelderMeadConfig::default()
-        };
-        let m = nelder_mead(
-            |p| (1.0 - p[0]).powi(2) + 100.0 * (p[1] - p[0] * p[0]).powi(2),
-            &[-1.2, 1.0],
-            cfg,
-        )
-        .unwrap();
-        assert!(!m.converged);
-        assert!(m.evaluations <= 45); // small overshoot within one iteration allowed
-    }
-
-    #[test]
-    fn nelder_mead_rejects_empty_seed() {
-        assert!(nelder_mead(|_| 0.0, &[], NelderMeadConfig::default()).is_err());
-    }
-
-    #[test]
-    fn nelder_mead_rejects_nan_seed() {
-        assert!(nelder_mead(|p| p[0], &[f64::NAN], NelderMeadConfig::default()).is_err());
-    }
-
-    #[test]
-    fn golden_section_parabola() {
-        let (x, v) = golden_section(|x| (x - 2.0).powi(2) + 1.0, -10.0, 10.0, 1e-10).unwrap();
-        // Golden section cannot localize a quadratic minimum below ~sqrt(eps).
-        assert!((x - 2.0).abs() < 1e-6);
-        assert!((v - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn golden_section_asymmetric_function() {
-        let (x, _) = golden_section(|x: f64| x.exp() - 2.0 * x, 0.0, 2.0, 1e-10).unwrap();
-        assert!((x - (2.0f64).ln()).abs() < 1e-7);
-    }
-
-    #[test]
-    fn golden_section_rejects_bad_interval() {
-        assert!(golden_section(|x| x, 1.0, 1.0, 1e-8).is_err());
-    }
-
-    #[test]
-    fn grid_search_finds_best_cell() {
-        let m = grid_search(
-            |p| (p[0] - 0.5).powi(2) + (p[1] - 0.25).powi(2),
-            &[(0.0, 1.0), (0.0, 1.0)],
-            5,
-        )
-        .unwrap();
-        assert_eq!(m.evaluations, 25);
-        assert!((m.x[0] - 0.5).abs() < 1e-12); // 0.5 is exactly on the 5-point grid
-        assert!((m.x[1] - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn grid_search_then_nelder_mead_refinement() {
-        let f = |p: &[f64]| (p[0] - 0.013).powi(2) + (p[1] - 24.7).powi(2);
-        let coarse = grid_search(f, &[(0.0, 0.1), (0.0, 100.0)], 6).unwrap();
-        let fine = nelder_mead(f, &coarse.x, NelderMeadConfig::default()).unwrap();
-        // Nelder-Mead x-precision scales like sqrt(f_tol) on quadratics.
-        assert!((fine.x[0] - 0.013).abs() < 1e-4);
-        assert!((fine.x[1] - 24.7).abs() < 1e-4);
-    }
-
-    #[test]
-    fn grid_search_rejects_degenerate() {
-        assert!(grid_search(|_| 0.0, &[], 3).is_err());
-        assert!(grid_search(|_| 0.0, &[(0.0, 1.0)], 1).is_err());
+            }
+            if !moved {
+                step *= 0.5;
+            }
+        }
+        Ok(Minimum {
+            x,
+            value,
+            evaluations,
+            converged: true,
+        })
     }
 
     #[test]
@@ -809,19 +344,23 @@ mod tests {
     fn multi_start_escapes_a_local_basin() {
         // Double well: x = -1 is local (value 0.5), x = 2 global (0).
         let f = |p: &[f64]| ((p[0] + 1.0).powi(2) + 0.5).min((p[0] - 2.0).powi(2));
+        let search = |seed: &[f64]| compass(f, seed);
         let single =
-            multi_start_nelder_mead(f, &[-1.2], &[(-4.0, 4.0)], MultiStartConfig::single())
-                .unwrap();
+            multi_start(&[-1.2], &[(-4.0, 4.0)], &MultiStartConfig::single(), search).unwrap();
         assert!((single.best.x[0] + 1.0).abs() < 1e-3, "{:?}", single.best.x);
         assert_eq!(single.best_start, 0);
         assert_eq!(single.start_values.len(), 1);
         let multi =
-            multi_start_nelder_mead(f, &[-1.2], &[(-4.0, 4.0)], MultiStartConfig::new(6)).unwrap();
+            multi_start(&[-1.2], &[(-4.0, 4.0)], &MultiStartConfig::new(6), search).unwrap();
         assert!((multi.best.x[0] - 2.0).abs() < 1e-3, "{:?}", multi.best.x);
         assert!(multi.best_start > 0);
         assert!(multi.best.value <= single.best.value);
         assert_eq!(multi.start_values.len(), 6);
         assert!(multi.evaluations > single.evaluations);
+        assert_eq!(
+            multi.start_evaluations.iter().sum::<usize>(),
+            multi.evaluations
+        );
     }
 
     #[test]
@@ -829,16 +368,15 @@ mod tests {
         let f = |p: &[f64]| (p[0].sin() * 3.0 + p[0] * p[0] * 0.05) + (p[1] - 1.0).powi(2);
         let bounds = [(-10.0, 10.0), (-3.0, 5.0)];
         let run = |parallelism: Parallelism| {
-            multi_start_nelder_mead(
-                f,
+            multi_start(
                 &[0.0, 0.0],
                 &bounds,
-                MultiStartConfig {
+                &MultiStartConfig {
                     starts: 7,
                     seed: 99,
                     parallelism,
-                    ..MultiStartConfig::default()
                 },
+                |seed| compass(f, seed),
             )
             .unwrap()
         };
@@ -852,44 +390,18 @@ mod tests {
             assert_eq!(serial, parallel, "{mode:?} diverged");
             // Bit-level, not just PartialEq: the winning point and every
             // per-start objective must carry identical bit patterns.
-            assert_eq!(
-                serial
-                    .best
-                    .x
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect::<Vec<_>>(),
-                parallel
-                    .best
-                    .x
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect::<Vec<_>>(),
-            );
-            assert_eq!(
-                serial
-                    .start_values
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect::<Vec<_>>(),
-                parallel
-                    .start_values
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect::<Vec<_>>(),
-            );
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&serial.best.x), bits(&parallel.best.x));
+            assert_eq!(bits(&serial.start_values), bits(&parallel.start_values));
         }
     }
 
     #[test]
     fn multi_start_tie_break_keeps_the_lowest_start_index() {
         // A constant objective ties every start bit-for-bit: start 0 wins.
-        let outcome = multi_start_nelder_mead(
-            |_: &[f64]| 1.25,
-            &[0.5],
-            &[(0.0, 1.0)],
-            MultiStartConfig::new(5),
-        )
+        let outcome = multi_start(&[0.5], &[(0.0, 1.0)], &MultiStartConfig::new(5), |seed| {
+            compass(|_| 1.25, seed)
+        })
         .unwrap();
         assert_eq!(outcome.best_start, 0);
         assert!(outcome.start_values.iter().all(|v| *v == 1.25));
@@ -897,21 +409,19 @@ mod tests {
 
     #[test]
     fn multi_start_validates_inputs() {
-        let f = |p: &[f64]| p[0] * p[0];
+        let search = |seed: &[f64]| compass(|p| p[0] * p[0], seed);
         // Bounds arity must match the seed.
-        assert!(multi_start_nelder_mead(f, &[1.0], &[], MultiStartConfig::new(3)).is_err());
-        assert!(
-            multi_start_nelder_mead(f, &[1.0], &[(1.0, 0.0)], MultiStartConfig::new(3)).is_err()
-        );
+        assert!(multi_start(&[1.0], &[], &MultiStartConfig::new(3), search).is_err());
+        assert!(multi_start(&[1.0], &[(1.0, 0.0)], &MultiStartConfig::new(3), search).is_err());
         // starts = 0 is treated as a single start.
-        let zero = multi_start_nelder_mead(
-            f,
+        let zero = multi_start(
             &[1.0],
             &[(-1.0, 1.0)],
-            MultiStartConfig {
+            &MultiStartConfig {
                 starts: 0,
                 ..MultiStartConfig::default()
             },
+            search,
         )
         .unwrap();
         assert_eq!(zero.start_values.len(), 1);
@@ -919,17 +429,22 @@ mod tests {
         // restarts (here: non-finite) are not validated — threading the
         // config through an existing path changes nothing until the
         // caller raises `starts`.
-        let unbounded = multi_start_nelder_mead(
-            f,
+        let unbounded = multi_start(
             &[1.0],
             &[(0.0, f64::INFINITY)],
-            MultiStartConfig::single(),
+            &MultiStartConfig::single(),
+            search,
         )
         .unwrap();
         assert!((unbounded.best.x[0]).abs() < 1e-4);
         assert!(
-            multi_start_nelder_mead(f, &[1.0], &[(0.0, f64::INFINITY)], MultiStartConfig::new(3))
-                .is_err(),
+            multi_start(
+                &[1.0],
+                &[(0.0, f64::INFINITY)],
+                &MultiStartConfig::new(3),
+                search
+            )
+            .is_err(),
             "a real grid over a non-finite box must still be rejected"
         );
     }

@@ -8,7 +8,7 @@ use dlm_numerics::linalg::Matrix;
 use dlm_numerics::ode::rk4;
 use dlm_numerics::optimize::stratified_starts;
 use dlm_numerics::spline::{CubicSpline, Pchip};
-use dlm_numerics::stats::{mean, prediction_accuracy, std_dev};
+use dlm_numerics::stats::{mean, prediction_accuracy};
 use dlm_numerics::tridiag::{solve_thomas, solve_thomas_into, TridiagonalMatrix};
 use proptest::prelude::*;
 
@@ -188,17 +188,6 @@ proptest! {
         let lo = xs.iter().cloned().fold(f64::INFINITY, f64::min);
         let hi = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         prop_assert!(m >= lo - 1e-9 && m <= hi + 1e-9);
-    }
-
-    #[test]
-    fn std_dev_is_translation_invariant(
-        xs in prop::collection::vec(-50.0f64..50.0, 2..30),
-        shift in -100.0f64..100.0,
-    ) {
-        let shifted: Vec<f64> = xs.iter().map(|x| x + shift).collect();
-        let s1 = std_dev(&xs).unwrap();
-        let s2 = std_dev(&shifted).unwrap();
-        prop_assert!((s1 - s2).abs() < 1e-7);
     }
 
     #[test]
