@@ -17,32 +17,30 @@
 //!   e.g. Saito et al.).
 
 use crate::error::{DlError, Result};
-use crate::growth::GrowthRate;
+use crate::growth::ExpDecayGrowth;
 use crate::model::Prediction;
 use dlm_graph::bfs::hop_distances;
 use dlm_graph::DiGraph;
 use dlm_numerics::mix::splitmix64_next;
-use dlm_numerics::ode::rk4;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
-use std::sync::Arc;
 
 /// The `d = 0` ablation: independent logistic growth per distance group,
-/// sharing the DL model's `r(t)` and `K`.
+/// sharing the DL model's `r(t)` and `K`. With the Eq.-7 family each
+/// group's logistic equation has an exact solution
+/// ([`ExpDecayGrowth::logistic`]), so nothing is integrated.
 #[derive(Debug, Clone)]
 pub struct LogisticOnly {
     initial: Vec<f64>,
-    growth: Arc<dyn GrowthRate + Send + Sync>,
+    growth: ExpDecayGrowth,
     capacity: f64,
     initial_time: f64,
 }
 
 impl LogisticOnly {
-    /// Creates the baseline from the hour-1 profile (`initial[i]` at
-    /// distance `i + 1`). The growth curve is owned, so the baseline is
-    /// `'static` and usable behind the
-    /// [`crate::predict::FittedPredictor`] trait.
+    /// Creates the baseline from the profile observed at `initial_time`
+    /// (`initial[i]` at distance `i + 1`).
     ///
     /// # Errors
     ///
@@ -50,21 +48,7 @@ impl LogisticOnly {
     /// non-positive capacity.
     pub fn new(
         initial: &[f64],
-        growth: impl GrowthRate + Send + Sync + 'static,
-        capacity: f64,
-        initial_time: f64,
-    ) -> Result<Self> {
-        Self::with_shared_growth(initial, Arc::new(growth), capacity, initial_time)
-    }
-
-    /// [`LogisticOnly::new`] taking an already-shared growth curve.
-    ///
-    /// # Errors
-    ///
-    /// Same validation as [`LogisticOnly::new`].
-    pub fn with_shared_growth(
-        initial: &[f64],
-        growth: Arc<dyn GrowthRate + Send + Sync>,
+        growth: ExpDecayGrowth,
         capacity: f64,
         initial_time: f64,
     ) -> Result<Self> {
@@ -96,23 +80,30 @@ impl LogisticOnly {
 
     /// The shared growth curve `r(t)`.
     #[must_use]
-    pub fn growth(&self) -> &(dyn GrowthRate + Send + Sync) {
-        self.growth.as_ref()
+    pub fn growth(&self) -> ExpDecayGrowth {
+        self.growth
     }
 
-    /// Predicts densities at integer distances/hours by integrating the
-    /// per-distance logistic ODE.
-    ///
-    /// Every requested distance is one component of a single RK4 system
-    /// with `r(t)` evaluated once per stage: RK4 is componentwise and the
-    /// step count depends only on the latest hour, so each distance's
-    /// values are bit for bit those of integrating it alone.
+    /// The time of the initial profile.
+    #[must_use]
+    pub fn initial_time(&self) -> f64 {
+        self.initial_time
+    }
+
+    /// The initial profile (`initial()[i]` at distance `i + 1`).
+    #[must_use]
+    pub fn initial(&self) -> &[f64] {
+        &self.initial
+    }
+
+    /// Predicts densities at integer distances/hours from the closed-form
+    /// solution of each distance's logistic equation. An hour at or
+    /// before the initial time reads the initial profile itself.
     ///
     /// # Errors
     ///
-    /// * [`DlError::InvalidParameter`] — distance outside the profile or
-    ///   hour not after the initial time.
-    /// * Propagates integrator errors.
+    /// [`DlError::InvalidParameter`] — empty hours, a distance outside
+    /// the profile, or no hour after the initial time.
     pub fn predict(&self, distances: &[u32], hours: &[u32]) -> Result<Prediction> {
         let t_max = f64::from(*hours.iter().max().ok_or(DlError::InvalidParameter {
             name: "hours",
@@ -124,57 +115,32 @@ impl LogisticOnly {
                 reason: "must extend beyond the initial time".into(),
             });
         }
-        let y0: Vec<f64> = distances
+        let values = distances
             .iter()
             .map(|&d| {
-                (d as usize)
+                let y0 = (d as usize)
                     .checked_sub(1)
                     .and_then(|i| self.initial.get(i).copied())
                     .ok_or(DlError::InvalidParameter {
                         name: "distances",
                         reason: format!("distance {d} outside the initial profile"),
+                    })?;
+                Ok(hours
+                    .iter()
+                    .map(|&h| {
+                        let t = f64::from(h);
+                        if t <= self.initial_time {
+                            y0
+                        } else {
+                            self.growth
+                                .logistic(y0, self.capacity, self.initial_time, t)
+                                .0
+                        }
                     })
+                    .collect())
             })
             .collect::<Result<_>>()?;
-        if y0.is_empty() {
-            return Prediction::from_values(Vec::new(), hours.to_vec(), Vec::new());
-        }
-        let (k, growth) = (self.capacity, &self.growth);
-        let sys = (
-            move |t: f64, y: &[f64], dy: &mut [f64]| {
-                let r = growth.rate(t);
-                for (dyi, &yi) in dy.iter_mut().zip(y) {
-                    *dyi = r * yi * (1.0 - yi / k);
-                }
-            },
-            y0.len(),
-        );
-        let steps = ((t_max - self.initial_time) / 0.005).ceil() as usize;
-        let traj = rk4(&sys, self.initial_time, t_max, &y0, steps.max(1))?;
-        // Sample the trajectory at each requested hour.
-        let values = (0..y0.len())
-            .map(|i| {
-                hours
-                    .iter()
-                    .map(|&h| sample_trajectory(traj.times(), traj.states(), i, f64::from(h)))
-                    .collect()
-            })
-            .collect();
         Prediction::from_values(distances.to_vec(), hours.to_vec(), values)
-    }
-}
-
-/// Component `i` of a recorded trajectory at `t`, linear between steps
-/// and clamped to its ends.
-fn sample_trajectory(times: &[f64], states: &[Vec<f64>], i: usize, t: f64) -> f64 {
-    match times.binary_search_by(|v| v.total_cmp(&t)) {
-        Ok(s) => states[s][i],
-        Err(0) => states[0][i],
-        Err(s) if s >= times.len() => states[times.len() - 1][i],
-        Err(s) => {
-            let w = (t - times[s - 1]) / (times[s] - times[s - 1]);
-            states[s - 1][i] * (1.0 - w) + states[s][i] * w
-        }
     }
 }
 
@@ -646,79 +612,63 @@ pub fn epidemic_trajectory(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::growth::{ConstantGrowth, ExpDecayGrowth};
+    use crate::growth::GrowthRate;
     use dlm_graph::GraphBuilder;
+    use dlm_numerics::ode::rk4;
 
     const OBS: [f64; 5] = [2.1, 0.7, 0.9, 0.5, 0.3];
 
-    /// The per-distance integration `LogisticOnly::predict` replaced:
-    /// one scalar RK4 per distance.
-    fn per_distance(model: &LogisticOnly, distances: &[u32], hours: &[u32]) -> Vec<Vec<u64>> {
-        let t_max = f64::from(*hours.iter().max().unwrap());
-        let k = model.capacity;
-        distances
-            .iter()
-            .map(|&d| {
-                let growth = &model.growth;
-                let sys = (
-                    move |t: f64, y: &[f64], dy: &mut [f64]| {
-                        dy[0] = growth.rate(t) * y[0] * (1.0 - y[0] / k);
-                    },
-                    1usize,
-                );
-                let steps = ((t_max - model.initial_time) / 0.005).ceil() as usize;
-                let y0 = model.initial[d as usize - 1];
-                let traj = rk4(&sys, model.initial_time, t_max, &[y0], steps.max(1)).unwrap();
-                hours
-                    .iter()
-                    .map(|&h| {
-                        sample_trajectory(traj.times(), traj.states(), 0, f64::from(h)).to_bits()
-                    })
-                    .collect()
-            })
-            .collect()
+    /// The integration `LogisticOnly::predict` used before the closed
+    /// form: RK4 at Δt = 0.005 from the initial time to `t`.
+    fn rk4_reference(growth: ExpDecayGrowth, capacity: f64, y0: f64, t0: f64, t: f64) -> f64 {
+        let sys = (
+            move |t: f64, y: &[f64], dy: &mut [f64]| {
+                dy[0] = growth.rate(t) * y[0] * (1.0 - y[0] / capacity);
+            },
+            1usize,
+        );
+        let steps = ((t - t0) / 0.005).ceil() as usize;
+        let trajectory = rk4(&sys, t0, t, &[y0], steps).unwrap();
+        trajectory.states().last().unwrap()[0]
     }
 
     #[test]
-    fn logistic_only_matches_per_distance_integration_bit_for_bit() {
+    fn logistic_only_matches_rk4_reference() {
         let profile = [2.1, 0.7, 0.9, 0.5, 0.3, 0.2, 24.0, 0.0];
-        for (initial_time, hours) in [
-            (1.0, vec![2, 3]),
-            (1.0, vec![2, 4, 6, 9]),
-            (2.0, vec![3, 8, 5, 24]),
-            (3.0, vec![4]),
+        let distances: Vec<u32> = (1..=profile.len() as u32).collect();
+        for growth in [
+            ExpDecayGrowth::paper_hops(),
+            ExpDecayGrowth::paper_interest(),
+            ExpDecayGrowth::new(0.0, 0.0, 0.8),
         ] {
-            let model =
-                LogisticOnly::new(&profile, ExpDecayGrowth::paper_hops(), 25.0, initial_time)
-                    .unwrap();
-            for distances in [
-                vec![1],
-                vec![1, 2, 3, 4, 5, 6],
-                vec![8, 3, 3, 7],
-                vec![6, 1],
-            ] {
+            for (initial_time, hours) in
+                [(1.0, vec![1, 2, 3, 4, 6, 9]), (2.5, vec![2, 3, 5, 8, 24])]
+            {
+                let model = LogisticOnly::new(&profile, growth, 25.0, initial_time).unwrap();
                 let got = model.predict(&distances, &hours).unwrap();
-                let bits: Vec<Vec<u64>> = distances
-                    .iter()
-                    .map(|&d| {
-                        hours
-                            .iter()
-                            .map(|&h| got.at(d, h).unwrap().to_bits())
-                            .collect()
-                    })
-                    .collect();
-                assert_eq!(
-                    bits,
-                    per_distance(&model, &distances, &hours),
-                    "t0 {initial_time}, hours {hours:?}, distances {distances:?}"
-                );
+                for (&d, &y0) in distances.iter().zip(&profile) {
+                    for &h in &hours {
+                        let t = f64::from(h);
+                        let value = got.at(d, h).unwrap();
+                        if t <= initial_time {
+                            // The initial profile itself, as RK4's first state.
+                            assert_eq!(value.to_bits(), y0.to_bits(), "d {d}, h {h}");
+                            continue;
+                        }
+                        let want = rk4_reference(growth, 25.0, y0, initial_time, t);
+                        assert!(
+                            (value - want).abs() <= 1e-9 * want,
+                            "{growth:?}, t0 {initial_time}, d {d}, h {h}: {value} vs {want}"
+                        );
+                    }
+                }
             }
         }
     }
 
     #[test]
     fn logistic_only_matches_closed_form_with_constant_rate() {
-        let growth = ConstantGrowth::new(0.8);
+        let growth = ExpDecayGrowth::new(0.0, 0.0, 0.8);
         let baseline = LogisticOnly::new(&OBS, growth, 25.0, 1.0).unwrap();
         let p = baseline.predict(&[1, 2, 3, 4, 5], &[2, 4, 6]).unwrap();
         let exact = |y0: f64, t: f64| 25.0 / (1.0 + (25.0 / y0 - 1.0) * (-0.8 * (t - 1.0)).exp());
@@ -752,7 +702,7 @@ mod tests {
 
     #[test]
     fn logistic_only_rejects_bad_inputs() {
-        let growth = ConstantGrowth::new(0.5);
+        let growth = ExpDecayGrowth::new(0.0, 0.0, 0.5);
         assert!(LogisticOnly::new(&[], growth, 25.0, 1.0).is_err());
         assert!(LogisticOnly::new(&OBS, growth, 0.0, 1.0).is_err());
         let b = LogisticOnly::new(&OBS, growth, 25.0, 1.0).unwrap();

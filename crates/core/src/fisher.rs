@@ -18,7 +18,7 @@
 //! little over a 6-hour window (see EXPERIMENTS.md).
 
 use crate::error::{DlError, Result};
-use crate::growth::ConstantGrowth;
+use crate::growth::ExpDecayGrowth;
 use crate::initial::{InitialDensity, PhiConstruction};
 use crate::params::DlParameters;
 use crate::pde::{solve, SolverConfig};
@@ -102,7 +102,7 @@ pub fn measure_wave_speed(
         })
         .collect();
     let phi = InitialDensity::from_observations(&params, &obs, PhiConstruction::Linear)?;
-    let growth = ConstantGrowth::new(r);
+    let growth = ExpDecayGrowth::new(0.0, 0.0, r);
     // Resolution: at least 8 points per unit and CFL-friendly dt.
     let intervals = ((width * 8.0) as usize).max(200);
     let dt = (0.2 / r).min(0.05);

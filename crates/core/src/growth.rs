@@ -9,8 +9,13 @@
 //! r(t) = 1.6 · e^{−(t − 1)} + 0.1           (shared interests, §III.C)
 //! ```
 //!
-//! [`GrowthRate`] abstracts the family so the model can also run with a
-//! constant rate (ablation) or a custom fitted curve (calibration).
+//! Every curve the registry builds is this family, [`ExpDecayGrowth`] (a
+//! constant rate `r` is `a = b = 0, c = r`). It integrates in closed form,
+//! so the `d = 0` logistic equation `dy/dt = r(t)·y·(1 − y/K)` has an
+//! exact solution with an exact gradient in `(a, b, c)`
+//! ([`ExpDecayGrowth::logistic`]): the logistic baseline and
+//! `variable-dl`'s growth fits integrate nothing. [`GrowthRate`] is the
+//! PDE solver's input type; [`FnGrowth`] wraps a custom curve.
 
 use std::fmt;
 
@@ -24,39 +29,6 @@ pub trait GrowthRate: fmt::Debug {
 
     /// Short human-readable description for reports.
     fn describe(&self) -> String;
-}
-
-/// Constant growth rate — the ablation baseline showing why the paper
-/// chose a decaying `r(t)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ConstantGrowth {
-    rate: f64,
-}
-
-impl ConstantGrowth {
-    /// Creates a constant rate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate` is negative or non-finite.
-    #[must_use]
-    pub fn new(rate: f64) -> Self {
-        assert!(
-            rate.is_finite() && rate >= 0.0,
-            "growth rate must be finite and non-negative"
-        );
-        Self { rate }
-    }
-}
-
-impl GrowthRate for ConstantGrowth {
-    fn rate(&self, _t: f64) -> f64 {
-        self.rate
-    }
-
-    fn describe(&self) -> String {
-        format!("r(t) = {}", self.rate)
-    }
 }
 
 /// The paper's exponentially decaying growth-rate family
@@ -131,6 +103,60 @@ impl ExpDecayGrowth {
     pub fn floor(&self) -> f64 {
         self.floor
     }
+
+    /// The integral `R(t₀, t₁) = ∫ r(s) ds` over `[t₀, t₁]` and its
+    /// gradient in `(a, b, c)`, exact for every `b ≥ 0`:
+    ///
+    /// ```text
+    /// R = a·e^{−b(t₀−1)}·(1 − e^{−bΔ})/b + c·Δ,   Δ = t₁ − t₀
+    /// ```
+    ///
+    /// with `(1 − e^{−bΔ})/b → Δ` as `b → 0`.
+    #[must_use]
+    pub fn integral(&self, t0: f64, t1: f64) -> (f64, [f64; 3]) {
+        let (a, b, c) = (self.amplitude, self.decay, self.floor);
+        let span = t1 - t0;
+        let start = (-b * (t0 - 1.0)).exp();
+        let (mean, slope) = mean_decay(b * span);
+        let d_a = start * span * mean;
+        // ∂/∂b of e^{−b(t₀−1)}·Δ·mean(bΔ).
+        let d_b = start * span * (slope * span - (t0 - 1.0) * mean);
+        (a * d_a + c * span, [d_a, a * d_b, span])
+    }
+
+    /// The exact solution at `t₁` of `dy/dt = r(t)·y·(1 − y/K)` from
+    /// `y(t₀) = y₀`, `y = K / (1 + (K/y₀ − 1)·e^{−R(t₀, t₁)})`, and its
+    /// tangent `∂y/∂(a, b, c) = y·(1 − y/K)·∂R/∂(a, b, c)`. An empty
+    /// group (`y₀ = 0`) stays empty.
+    #[must_use]
+    pub fn logistic(&self, y0: f64, capacity: f64, t0: f64, t1: f64) -> (f64, [f64; 3]) {
+        if y0 == 0.0 {
+            // The formula would read ∞·e^{−R}, which is NaN once e^{−R}
+            // underflows.
+            return (0.0, [0.0; 3]);
+        }
+        let (integral, gradient) = self.integral(t0, t1);
+        let y = capacity / (1.0 + (capacity / y0 - 1.0) * (-integral).exp());
+        let logistic = y * (1.0 - y / capacity);
+        (y, gradient.map(|g| logistic * g))
+    }
+}
+
+/// `(1 − e^{−x})/x` (the mean of `e^{−s}` over `[0, x]`) and its
+/// derivative in `x`. Below `|x| = 10⁻²` both come from their Taylor
+/// series, which holds the `x → 0` limit and avoids the cancellation of
+/// the closed form; the first omitted terms are under `10⁻¹⁵` there.
+fn mean_decay(x: f64) -> (f64, f64) {
+    if x.abs() < 1e-2 {
+        let mean = 1.0
+            - x * (1.0 / 2.0 - x * (1.0 / 6.0 - x * (1.0 / 24.0 - x * (1.0 / 120.0 - x / 720.0))));
+        let slope = -1.0 / 2.0
+            + x * (1.0 / 3.0 - x * (1.0 / 8.0 - x * (1.0 / 30.0 - x * (1.0 / 144.0 - x / 840.0))));
+        (mean, slope)
+    } else {
+        let mean = -(-x).exp_m1() / x;
+        (mean, ((-x).exp() - mean) / x)
+    }
 }
 
 impl GrowthRate for ExpDecayGrowth {
@@ -146,7 +172,8 @@ impl GrowthRate for ExpDecayGrowth {
     }
 }
 
-/// A growth rate backed by an arbitrary closure (used by calibration).
+/// A growth rate backed by an arbitrary closure: a custom `r(t)` for the
+/// PDE solver.
 pub struct FnGrowth<F: Fn(f64) -> f64> {
     f: F,
     label: String,
@@ -186,7 +213,7 @@ mod tests {
 
     #[test]
     fn constant_is_constant() {
-        let r = ConstantGrowth::new(0.5);
+        let r = ExpDecayGrowth::new(0.0, 0.0, 0.5);
         assert_eq!(r.rate(1.0), 0.5);
         assert_eq!(r.rate(100.0), 0.5);
         assert!(r.describe().contains("0.5"));
@@ -195,7 +222,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-negative")]
     fn constant_rejects_negative() {
-        let _ = ConstantGrowth::new(-0.1);
+        let _ = ExpDecayGrowth::new(0.0, 0.0, -0.1);
     }
 
     #[test]
@@ -249,10 +276,70 @@ mod tests {
     #[test]
     fn growth_rate_is_object_safe() {
         let rates: Vec<Box<dyn GrowthRate>> = vec![
-            Box::new(ConstantGrowth::new(1.0)),
+            Box::new(FnGrowth::new(|_| 1.0, "r(t) = 1")),
             Box::new(ExpDecayGrowth::paper_hops()),
         ];
         assert!(rates[0].rate(1.0) > 0.0);
         assert!(rates[1].rate(1.0) > 0.0);
+    }
+
+    /// `(t₀, t₁)` spans with integer and fractional ends.
+    const SPANS: [(f64, f64); 4] = [(1.0, 2.0), (1.0, 6.0), (2.5, 3.0), (4.0, 9.25)];
+
+    #[test]
+    fn integral_is_exact_without_decay_and_continuous_as_it_vanishes() {
+        for (t0, t1) in SPANS {
+            let span = t1 - t0;
+            let at = |b: f64| ExpDecayGrowth::new(1.4, b, 0.25).integral(t0, t1);
+            let (limit, [d_a, slope, d_c]) = at(0.0);
+            assert_eq!((limit, d_a, d_c), (1.4 * span + 0.25 * span, span, span));
+            // ∂R/∂b at b = 0 is −a·∫(s − 1) ds.
+            let want = -1.4 * ((t1 - 1.0).powi(2) - (t0 - 1.0).powi(2)) / 2.0;
+            assert!(
+                (slope - want).abs() <= 1e-14 * want.abs(),
+                "{slope} vs {want}"
+            );
+            for b in [1e-12, 1e-8, 1e-4] {
+                // Taylor in b: the remainder is at most b²·a·(t₁ − 1)³/6.
+                let remainder = b * b * 1.4 * (t1 - 1.0).powi(3) + 1e-15 * limit;
+                let value = at(b).0;
+                assert!(
+                    (value - (limit + b * slope)).abs() <= remainder,
+                    "b {b}, [{t0}, {t1}]: {value} vs limit {limit}"
+                );
+            }
+            // No jump where the series hands over to the closed form.
+            let (below, above) = (at((1e-2 - 1e-14) / span), at(1e-2 / span));
+            assert!((below.0 - above.0).abs() <= 1e-13 * above.0);
+            assert!((below.1[1] - above.1[1]).abs() <= 1e-11 * above.1[1].abs());
+        }
+    }
+
+    #[test]
+    fn integral_is_additive_over_adjacent_spans() {
+        for r in [
+            ExpDecayGrowth::paper_hops(),
+            ExpDecayGrowth::new(0.0, 0.0, 0.8),
+            ExpDecayGrowth::new(3.0, 1e-6, 0.5),
+            ExpDecayGrowth::new(12.0, 4.0, 7.0),
+        ] {
+            for (t0, t1, t2) in [(1.0, 2.0, 3.0), (1.5, 2.0, 8.0), (3.0, 3.004, 4.0)] {
+                let whole = r.integral(t0, t2).0;
+                let parts = r.integral(t0, t1).0 + r.integral(t1, t2).0;
+                assert!(
+                    (whole - parts).abs() <= 1e-14 * whole,
+                    "{r:?} [{t0}, {t1}, {t2}]: {whole} vs {parts}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn logistic_keeps_an_empty_group_empty() {
+        // e^{−R} underflows to 0 at R = 920; y ≡ 0 must stay 0 and
+        // every other start must reach K.
+        let r = ExpDecayGrowth::new(0.0, 0.0, 40.0);
+        assert_eq!(r.logistic(0.0, 25.0, 1.0, 24.0), (0.0, [0.0; 3]));
+        assert_eq!(r.logistic(0.5, 25.0, 1.0, 24.0), (25.0, [0.0; 3]));
     }
 }

@@ -59,8 +59,7 @@
 //! * [`variable`] — the paper's §V future work: d, r, K as functions of
 //!   time and distance;
 //! * [`fisher`] — traveling-wave (Fisher–KPP) validation of the solver;
-//! * [`sensitivity`] — one-at-a-time parameter elasticities;
-//! * [`uncertainty`] — Monte Carlo prediction bands from observation noise.
+//! * [`sensitivity`] — one-at-a-time parameter elasticities.
 //!
 //! ## Quickstart
 //!
@@ -119,7 +118,6 @@ pub mod predict;
 pub mod registry;
 pub mod sensitivity;
 pub mod theory;
-pub mod uncertainty;
 pub mod variable;
 pub mod zoo;
 

@@ -610,7 +610,7 @@ impl DlModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::growth::{ConstantGrowth, FnGrowth};
+    use crate::growth::FnGrowth;
     use crate::pde::SolverMethod;
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
@@ -660,7 +660,7 @@ mod tests {
         // At hour 2 with tiny growth and diffusion, the profile is close to φ.
         let params = DlParameters::new(1e-6, 25.0, 1.0, 6.0).unwrap();
         let model = DlModelBuilder::new(params)
-            .growth(ConstantGrowth::new(1e-6))
+            .growth(ExpDecayGrowth::new(0.0, 0.0, 1e-6))
             .build(&OBS)
             .unwrap();
         let p = model.predict(&[1, 2, 3, 4, 5, 6], &[2]).unwrap();
@@ -673,7 +673,7 @@ mod tests {
     fn builder_options_apply() {
         let params = DlParameters::paper_hops(6).unwrap();
         let model = DlModelBuilder::new(params)
-            .growth(ConstantGrowth::new(0.3))
+            .growth(ExpDecayGrowth::new(0.0, 0.0, 0.3))
             .phi_construction(crate::initial::PhiConstruction::Linear)
             .solver(SolverConfig {
                 method: SolverMethod::Rk4,

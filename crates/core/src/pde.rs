@@ -978,7 +978,7 @@ pub(crate) fn solve_theta<C: NodeValues>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::growth::{ConstantGrowth, ExpDecayGrowth};
+    use crate::growth::ExpDecayGrowth;
     use crate::initial::PhiConstruction;
 
     fn params() -> DlParameters {
@@ -1005,7 +1005,7 @@ mod tests {
         let p = DlParameters::new(0.0, 25.0, 1.0, 6.0).unwrap();
         let flat =
             InitialDensity::from_observations(&p, &[2.0; 6], PhiConstruction::SplineFlat).unwrap();
-        let growth = ConstantGrowth::new(0.8);
+        let growth = ExpDecayGrowth::new(0.0, 0.0, 0.8);
         for method in [
             SolverMethod::CrankNicolson,
             SolverMethod::BackwardEuler,
@@ -1035,7 +1035,7 @@ mod tests {
         // total mass is conserved and the profile flattens to its mean.
         let p = DlParameters::new(0.5, 25.0, 1.0, 6.0).unwrap();
         let phi = phi(&p);
-        let growth = ConstantGrowth::new(0.0);
+        let growth = ExpDecayGrowth::new(0.0, 0.0, 0.0);
         let config = SolverConfig::default();
         let sol = solve(&p, &growth, &phi, 1.0, 80.0, &config).unwrap();
         let first = &sol.values()[0];
@@ -1351,7 +1351,7 @@ mod tests {
         // Relative spatial variation must shrink under diffusion.
         let p = DlParameters::new(0.3, 25.0, 1.0, 6.0).unwrap();
         let phi = phi(&p);
-        let growth = ConstantGrowth::new(0.2);
+        let growth = ExpDecayGrowth::new(0.0, 0.0, 0.2);
         let sol = solve(&p, &growth, &phi, 1.0, 20.0, &SolverConfig::default()).unwrap();
         let rel_spread = |v: &[f64]| {
             let hi = v.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
@@ -1374,7 +1374,15 @@ mod tests {
             dt: 1e3,
             ..SolverConfig::default()
         };
-        let err = solve(&p, &ConstantGrowth::new(1e6), &phi, 1.0, 1001.0, &config).unwrap_err();
+        let err = solve(
+            &p,
+            &ExpDecayGrowth::new(0.0, 0.0, 1e6),
+            &phi,
+            1.0,
+            1001.0,
+            &config,
+        )
+        .unwrap_err();
         match err {
             DlError::Numerics(dlm_numerics::NumericsError::NoConvergence {
                 algorithm,

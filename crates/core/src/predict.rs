@@ -22,7 +22,7 @@
 //! batch evaluation in [`crate::evaluate`].
 
 use crate::error::{DlError, Result};
-use crate::growth::{ConstantGrowth, ExpDecayGrowth, GrowthRate};
+use crate::growth::{ExpDecayGrowth, GrowthRate};
 use crate::initial::PhiConstruction;
 use crate::model::Prediction;
 use crate::pde::SolverConfig;
@@ -362,8 +362,8 @@ pub trait FittedPredictor: fmt::Debug + Send + Sync {
     fn params(&self) -> Vec<f64>;
 }
 
-/// The growth-rate families a [`FitConfig`] can request — the serializable
-/// subset of [`GrowthRate`] implementations.
+/// The growth-rate families a [`FitConfig`] can request — serializable
+/// names for curves of the Eq.-7 family [`ExpDecayGrowth`].
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum GrowthFamily {
     /// The paper's Eq. 7: `r(t) = 1.4·e^{−1.5(t−1)} + 0.25`.
@@ -388,24 +388,17 @@ pub enum GrowthFamily {
 }
 
 impl GrowthFamily {
-    /// Instantiates the family as a shareable [`GrowthRate`].
+    /// Instantiates the family as a shareable [`GrowthRate`]: its
+    /// [`GrowthFamily::exp_decay`] curve.
     #[must_use]
     pub fn build(&self) -> Arc<dyn GrowthRate + Send + Sync> {
-        match *self {
-            Self::PaperHops => Arc::new(ExpDecayGrowth::paper_hops()),
-            Self::PaperInterest => Arc::new(ExpDecayGrowth::paper_interest()),
-            Self::ExpDecay {
-                amplitude,
-                decay,
-                floor,
-            } => Arc::new(ExpDecayGrowth::new(amplitude, decay, floor)),
-            Self::Constant { rate } => Arc::new(ConstantGrowth::new(rate)),
-        }
+        Arc::new(self.exp_decay())
     }
 
-    /// The family expressed in the exp-decay parameterization
-    /// (`Constant { r }` maps to amplitude 0, floor `r`) — used as a
-    /// calibration seed and for parameter introspection.
+    /// The family's curve in the exp-decay parameterization
+    /// (`Constant { r }` maps to amplitude and decay 0, floor `r`) — the
+    /// curve every model runs, a calibration seed and the source of
+    /// parameter introspection.
     #[must_use]
     pub fn exp_decay(&self) -> ExpDecayGrowth {
         match *self {

@@ -75,7 +75,7 @@ pub fn verify_properties(model: &DlModel, t_end: f64, tol: f64) -> Result<Proper
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::growth::ConstantGrowth;
+    use crate::growth::ExpDecayGrowth;
     use crate::model::{DlModel, DlModelBuilder};
     use crate::params::DlParameters;
 
@@ -106,7 +106,7 @@ mod tests {
         // premise of the increasing property fails, not the theorem).
         let params = DlParameters::new(10.0, 25.0, 1.0, 6.0).unwrap();
         let model = DlModelBuilder::new(params)
-            .growth(ConstantGrowth::new(0.05))
+            .growth(ExpDecayGrowth::new(0.0, 0.0, 0.05))
             .build(&[0.1, 8.0, 0.1, 8.0, 0.1, 8.0])
             .unwrap();
         let report = verify_properties(&model, 5.0, 1e-8).unwrap();

@@ -466,9 +466,6 @@ pub fn calibrate_per_distance_growth_series(
 /// multi-start, and the curve a distance with nothing to fit keeps.
 const PER_DISTANCE_SEED: [f64; 3] = [1.0, 1.0, 0.2];
 
-/// RK4 substeps per hour of the per-distance objective.
-const SUBSTEPS: usize = 20;
-
 /// [`calibrate_per_distance_growth_series`] with an explicit multi-start
 /// strategy: each distance's growth-curve fit runs `multi_start.starts`
 /// independent box-constrained Levenberg–Marquardt searches (the classic
@@ -476,7 +473,7 @@ const SUBSTEPS: usize = 20;
 /// `(a, b, c)` seeding box, see `docs/CALIBRATION.md`), fanned onto the
 /// [`dlm_numerics::pool`] executor, keeping the best objective per
 /// distance under the bitwise total-order tie-break. Each start may spend
-/// 2 000 evaluations, one RK4 solve with its tangent each. A distance
+/// 2 000 evaluations, each a closed-form solve with its tangent. A distance
 /// with no positive observation after its first hour has nothing to fit
 /// and keeps the seed curve without a search.
 ///
@@ -532,7 +529,7 @@ pub fn calibrate_per_distance_growth_series_multi(
 
 /// One distance's fit as least squares: the logistic ODE
 /// `dy/dt = r(t)·y·(1 − y/K)` with a candidate `r(t) = a·e^{−b(t−1)} + c`,
-/// stepped hourly from the first observation, against every later
+/// solved in closed form from the first observation, against every later
 /// positive observation. Residual `k` is `(y_k − obs_k)/obs_k/√count`, so
 /// the sum of squares is the mean squared relative error.
 #[derive(Debug, Clone)]
@@ -576,13 +573,13 @@ impl JacobianProblem for GrowthSeries<'_> {
             residuals.fill(f64::NAN);
             return;
         }
-        let (mut y, mut tangent) = (self.y0, [0.0; 3]);
+        let growth = ExpDecayGrowth::new(a, b, c);
         let mut k = 0;
         for (hour, &obs) in self.target.iter().enumerate().skip(1) {
-            // Series entry `hour` sits at absolute time t0 + hour.
-            let start = self.t0 + (hour - 1) as f64;
-            rk4_hour([a, b, c], self.capacity, start, &mut y, &mut tangent);
             if obs > 0.0 {
+                // Series entry `hour` sits at absolute time t0 + hour.
+                let (y, tangent) =
+                    growth.logistic(self.y0, self.capacity, self.t0, self.t0 + hour as f64);
                 let scale = self.weight / obs;
                 residuals[k] = (y - obs) * scale;
                 for (j, &s) in tangent.iter().enumerate() {
@@ -590,43 +587,6 @@ impl JacobianProblem for GrowthSeries<'_> {
                 }
                 k += 1;
             }
-        }
-    }
-}
-
-/// Steps `dy/dt = r(t)·y·(1 − y/K)` with `r(t) = a·e^{−b(t−1)} + c` over
-/// one hour from `start` by RK4 at [`SUBSTEPS`] substeps, and carries
-/// `tangent = ∂y/∂(a, b, c)` through the same stages: the exact
-/// derivative of the discrete map, not of the ODE.
-fn rk4_hour(growth: [f64; 3], capacity: f64, start: f64, y: &mut f64, tangent: &mut [f64; 3]) {
-    let [a, b, c] = growth;
-    // The right-hand side at (t, y) and its tangent along `s`:
-    // f_y·s + ∂f/∂(a, b, c).
-    let rhs = |t: f64, y: f64, s: &[f64; 3]| -> (f64, [f64; 3]) {
-        let decay = (-b * (t - 1.0)).exp();
-        let r = a * decay + c;
-        let logistic = y * (1.0 - y / capacity);
-        let f_y = r * (1.0 - 2.0 * y / capacity);
-        let dr = [decay, -a * (t - 1.0) * decay, 1.0];
-        (
-            r * y * (1.0 - y / capacity),
-            std::array::from_fn(|j| f_y * s[j] + dr[j] * logistic),
-        )
-    };
-    let h = 1.0 / SUBSTEPS as f64;
-    let shifted = |s: &[f64; 3], d: &[f64; 3], w: f64| -> [f64; 3] {
-        std::array::from_fn(|j| s[j] + w * d[j])
-    };
-    for step in 0..SUBSTEPS {
-        let t = start + step as f64 * h;
-        let s = *tangent;
-        let (k1, d1) = rhs(t, *y, &s);
-        let (k2, d2) = rhs(t + 0.5 * h, *y + 0.5 * h * k1, &shifted(&s, &d1, 0.5 * h));
-        let (k3, d3) = rhs(t + 0.5 * h, *y + 0.5 * h * k2, &shifted(&s, &d2, 0.5 * h));
-        let (k4, d4) = rhs(t + h, *y + h * k3, &shifted(&s, &d3, h));
-        *y += h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4);
-        for j in 0..3 {
-            tangent[j] += h / 6.0 * (d1[j] + 2.0 * d2[j] + 2.0 * d3[j] + d4[j]);
         }
     }
 }
@@ -819,43 +779,54 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
-        /// The tangent `rk4_hour` carries is the derivative of its own
-        /// discrete map: central differences of the stepped `y` agree
-        /// with it to a tight relative tolerance.
+        /// The closed-form tangent is the derivative of the closed-form
+        /// solution: fourth-order differences of `y` agree with it to a
+        /// tight relative tolerance, over the seeding box and at decays
+        /// near and at 0.
         #[test]
-        fn rk4_tangent_matches_central_differences_of_the_discrete_map(
+        fn closed_form_tangent_matches_finite_differences(
             a in 0.0f64..4.0,
             b in 0.0f64..4.0,
             c in 0.0f64..2.0,
             y0 in 0.01f64..20.0,
             start in 1u32..6,
         ) {
-            let hours = 3;
-            let run = |p: [f64; 3]| {
-                let (mut y, mut tangent) = (y0, [0.0; 3]);
-                for hour in 0..hours {
-                    rk4_hour(p, 25.0, f64::from(start + hour), &mut y, &mut tangent);
-                }
-                (y, tangent)
-            };
-            let p = [a, b, c];
-            let (y, tangent) = run(p);
-            for j in 0..3 {
-                let h = 1e-3 * p[j].max(1.0);
-                let at = |offset: f64| {
-                    let mut q = p;
-                    q[j] += offset * h;
-                    run(q).0
+            let t0 = f64::from(start);
+            for b in [b, 1e-4, 1e-8, 1e-12, 0.0] {
+                let p = [a, b, c];
+                let solve = |q: [f64; 3], t: f64| {
+                    ExpDecayGrowth::new(q[0], q[1], q[2]).logistic(y0, 25.0, t0, t)
                 };
-                // Fourth-order central differences.
-                let central = (8.0 * (at(1.0) - at(-1.0)) - (at(2.0) - at(-2.0))) / (12.0 * h);
-                // Relative 1e-6, plus the rounding of `y` the difference
-                // quotient divides by `h`.
-                let tolerance = 1e-6 * tangent[j].abs() + 100.0 * f64::EPSILON * y / h;
-                proptest::prop_assert!(
-                    (central - tangent[j]).abs() <= tolerance,
-                    "∂y/∂p{j}: tangent {} vs central {central} at {p:?}", tangent[j]
-                );
+                for hours in 1..=3 {
+                    let t = t0 + f64::from(hours);
+                    let (y, tangent) = solve(p, t);
+                    for j in 0..3 {
+                        // `y` varies with `b` on the time scale 1/(t − 1).
+                        let h = 1e-3 * p[j].max(1.0) / t;
+                        let at = |offset: f64| {
+                            let mut q = p;
+                            q[j] += offset * h;
+                            solve(q, t).0
+                        };
+                        // Central differences where the stencil stays in
+                        // the non-negative box, forward ones at its edge.
+                        let difference = if p[j] >= 2.0 * h {
+                            (8.0 * (at(1.0) - at(-1.0)) - (at(2.0) - at(-2.0))) / (12.0 * h)
+                        } else {
+                            (-25.0 * y + 48.0 * at(1.0) - 36.0 * at(2.0) + 16.0 * at(3.0)
+                                - 3.0 * at(4.0))
+                                / (12.0 * h)
+                        };
+                        // Relative 1e-6, plus the rounding of `y` the
+                        // difference quotient divides by `h`.
+                        let tolerance = 1e-6 * tangent[j].abs() + 100.0 * f64::EPSILON * y / h;
+                        proptest::prop_assert!(
+                            (difference - tangent[j]).abs() <= tolerance,
+                            "∂y/∂p{j} at t {t}: tangent {} vs differences {difference} at {p:?}",
+                            tangent[j]
+                        );
+                    }
+                }
             }
         }
     }
@@ -905,49 +876,25 @@ mod tests {
     #[test]
     fn series_calibration_is_anchored_in_absolute_time() {
         // Generate series at absolute hours 4..=7 from a known decaying
-        // growth curve; the fitted field must reproduce the trajectory
-        // when integrated over the SAME absolute window. A fit that
+        // growth curve; the fitted curves must reproduce the trajectory
+        // over the SAME absolute window. A fit that
         // silently re-anchors the series at hour 1 sees a much steeper
         // effective decay and fails this round trip.
         let capacity = 25.0;
         let truth = ExpDecayGrowth::new(2.0, 1.0, 0.2);
-        let integrate = |r: &dyn Fn(f64) -> f64, mut y: f64, t0: f64, t1: f64| -> f64 {
-            let steps = ((t1 - t0) / 0.005).ceil() as usize;
-            let h = (t1 - t0) / steps as f64;
-            for s in 0..steps {
-                let t = t0 + s as f64 * h;
-                let f = |tt: f64, yy: f64| r(tt) * yy * (1.0 - yy / capacity);
-                let k1 = f(t, y);
-                let k2 = f(t + 0.5 * h, y + 0.5 * h * k1);
-                let k3 = f(t + 0.5 * h, y + 0.5 * h * k2);
-                let k4 = f(t + h, y + h * k3);
-                y += h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4);
-            }
-            y
-        };
         let series_from = |y0: f64| -> Vec<f64> {
-            let mut out = vec![y0];
-            for hour in 4..7 {
-                let prev = *out.last().unwrap();
-                out.push(integrate(
-                    &|t| truth.rate(t),
-                    prev,
-                    f64::from(hour),
-                    f64::from(hour) + 1.0,
-                ));
-            }
-            out
+            (4..=7)
+                .map(|hour| truth.logistic(y0, capacity, 4.0, f64::from(hour)).0)
+                .collect()
         };
         let series = [series_from(2.0), series_from(1.0)];
         let field = calibrate_per_distance_growth_series(&series, capacity, 4, 4).unwrap();
-        for (i, s) in series.iter().enumerate() {
-            let x = 1.0 + i as f64;
-            let got = integrate(&|t| field.value(x, t), s[0], 4.0, 7.0);
+        for (s, curve) in series.iter().zip(field.curves()) {
+            let got = curve.logistic(s[0], capacity, 4.0, 7.0).0;
             let want = s[3];
             assert!(
                 (got - want).abs() / want < 0.05,
-                "distance {}: fitted trajectory {got} vs observed {want}",
-                i + 1
+                "{curve:?}: fitted trajectory {got} vs observed {want}"
             );
         }
     }

@@ -542,9 +542,6 @@ impl LogisticOnlyPredictor {
 #[derive(Debug, Clone)]
 pub struct FittedLogisticOnly {
     baseline: LogisticOnly,
-    growth: crate::growth::ExpDecayGrowth,
-    initial_time: f64,
-    initial: Vec<f64>,
 }
 
 impl DiffusionPredictor for LogisticOnlyPredictor {
@@ -553,19 +550,13 @@ impl DiffusionPredictor for LogisticOnlyPredictor {
     }
 
     fn fit(&self, observation: &Observation) -> Result<Box<dyn FittedPredictor>> {
-        let initial_time = f64::from(observation.initial_hour());
-        let baseline = LogisticOnly::with_shared_growth(
+        let baseline = LogisticOnly::new(
             observation.initial_profile(),
-            self.growth.build(),
+            self.growth.exp_decay(),
             self.capacity,
-            initial_time,
+            f64::from(observation.initial_hour()),
         )?;
-        Ok(Box::new(FittedLogisticOnly {
-            baseline,
-            growth: self.growth.exp_decay(),
-            initial_time,
-            initial: observation.initial_profile().to_vec(),
-        }))
+        Ok(Box::new(FittedLogisticOnly { baseline }))
     }
 }
 
@@ -575,35 +566,36 @@ impl FittedPredictor for FittedLogisticOnly {
     }
 
     fn predict(&self, request: &PredictionRequest) -> Result<Prediction> {
-        // The per-distance ODE trajectory starts at the fitted initial
-        // time; earlier hours are outside the solved domain (the raw
-        // baseline would silently clamp them to the initial state).
+        // The per-distance solution starts at the fitted initial time;
+        // earlier hours are outside its domain (the raw baseline would
+        // silently read them as the initial profile).
+        let initial_time = self.baseline.initial_time();
         if let Some(&h) = request
             .hours()
             .iter()
-            .find(|&&h| f64::from(h) < self.initial_time)
+            .find(|&&h| f64::from(h) < initial_time)
         {
             return Err(DlError::OutOfDomain {
                 axis: "time",
                 value: f64::from(h),
-                range: (self.initial_time, f64::INFINITY),
+                range: (initial_time, f64::INFINITY),
             });
         }
-        if f64::from(request.max_hour()) <= self.initial_time {
-            return phi_readback(request, self.initial_time, &self.initial);
+        if f64::from(request.max_hour()) <= initial_time {
+            return phi_readback(request, initial_time, self.baseline.initial());
         }
         self.baseline.predict(request.distances(), request.hours())
     }
 
     fn param_names(&self) -> Vec<String> {
         let mut out = vec!["K".to_string()];
-        out.append(&mut growth_param_entries(&self.growth).0);
+        out.append(&mut growth_param_entries(&self.baseline.growth()).0);
         out
     }
 
     fn params(&self) -> Vec<f64> {
         let mut out = vec![self.baseline.capacity()];
-        out.extend(growth_param_entries(&self.growth).1);
+        out.extend(growth_param_entries(&self.baseline.growth()).1);
         out
     }
 }

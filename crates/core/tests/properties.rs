@@ -4,7 +4,7 @@
 //! check them against randomized initial profiles and parameters, not
 //! just the paper's example setting.
 
-use dlm_core::growth::{ConstantGrowth, ExpDecayGrowth};
+use dlm_core::growth::ExpDecayGrowth;
 use dlm_core::initial::{InitialDensity, PhiConstruction};
 use dlm_core::model::DlModelBuilder;
 use dlm_core::params::DlParameters;
@@ -84,14 +84,13 @@ proptest! {
         // logistic-only baseline at the knots.
         use dlm_core::baselines::LogisticOnly;
         let params = DlParameters::new(0.0, 25.0, 1.0, obs.len() as f64).unwrap();
-        let growth = ConstantGrowth::new(r);
+        let growth = ExpDecayGrowth::new(0.0, 0.0, r);
         let model = DlModelBuilder::new(params)
             .growth(growth)
             .solver(SolverConfig { space_intervals: 2 * (obs.len() - 1), dt: 0.005, ..SolverConfig::default() })
             .build(&obs)
             .unwrap();
-        let growth2 = ConstantGrowth::new(r);
-        let baseline = LogisticOnly::new(&obs, growth2, 25.0, 1.0).unwrap();
+        let baseline = LogisticOnly::new(&obs, growth, 25.0, 1.0).unwrap();
         let dists: Vec<u32> = (1..=obs.len() as u32).collect();
         let hours = [3u32, 6];
         let a = model.predict(&dists, &hours).unwrap();

@@ -410,7 +410,7 @@ fn served_lineup_fits_are_bit_stable() {
         .map(|(d, h)| prediction.at(d, h).unwrap());
     let hash = fnv1a_bits(fitted.params().into_iter().chain(values));
     assert_eq!(
-        hash, 0xbebd_7121_dcf6_3127,
+        hash, 0x0d44_f303_c6fe_c734,
         "variable-dl(perdist=true): {hash:#018x}"
     );
 

@@ -1,5 +1,5 @@
 //! Integration tests for the beyond-the-paper extensions: the
-//! variable-coefficient model, prediction bands, vote timelines, density
+//! variable-coefficient model, vote timelines, density
 //! confidence intervals, and connectivity validation — all running on the
 //! same simulated cascades as the headline experiments.
 
@@ -7,12 +7,9 @@ use dlm::cascade::confidence::density_intervals;
 use dlm::cascade::hops::hop_density_matrix;
 use dlm::cascade::timeline::VoteTimeline;
 use dlm::cascade::ObservationSplit;
-use dlm::core::growth::ExpDecayGrowth;
-use dlm::core::params::DlParameters;
 use dlm::core::predict::{
     DiffusionPredictor, FitConfig, GrowthFamily, Observation, PredictionRequest,
 };
-use dlm::core::uncertainty::{prediction_bands, BandConfig};
 use dlm::core::zoo::VariableDlPredictor;
 use dlm::data::simulate::simulate_story;
 use dlm::data::{SimulationConfig, StoryPreset, SyntheticWorld, WorldConfig};
@@ -83,39 +80,6 @@ fn variable_model_predicts_simulated_interest_densities() {
             // behind the synthetic world.
             assert!(rel < 0.6, "d={d} h={h}: predicted {p} vs actual {actual}");
         }
-    }
-}
-
-#[test]
-fn prediction_bands_cover_future_observations_mostly() {
-    let w = world();
-    let cascade = simulate_story(&w, &StoryPreset::s1(), SimulationConfig::default()).unwrap();
-    let observed = hop_density_matrix(w.graph(), &cascade, 5, 6).unwrap();
-    let split = ObservationSplit::paper_protocol(&observed).unwrap();
-    let distances: Vec<u32> = (1..=split.distance_count() as u32).collect();
-    let sizes: Vec<usize> = distances
-        .iter()
-        .map(|&d| observed.group_size(d).unwrap())
-        .collect();
-
-    let bands = prediction_bands(
-        &DlParameters::paper_hops(observed.max_distance()).unwrap(),
-        &ExpDecayGrowth::paper_hops(),
-        split.initial_profile(),
-        &sizes,
-        &distances,
-        &[2],
-        &BandConfig {
-            replicates: 100,
-            ..BandConfig::default()
-        },
-    )
-    .unwrap();
-    // Sanity on shape: one band per distance, ordered edges, positive medians.
-    assert_eq!(bands.len(), distances.len());
-    for b in &bands {
-        assert!(b.lower <= b.median && b.median <= b.upper, "{b:?}");
-        assert!(b.median > 0.0);
     }
 }
 
