@@ -141,6 +141,6 @@ fn main() {
     );
     // Route until the process is killed.
     loop {
-        std::thread::park();
+        std::thread::sleep(std::time::Duration::MAX);
     }
 }

@@ -159,6 +159,6 @@ fn main() {
     }
     // Serve until the process is killed.
     loop {
-        std::thread::park();
+        std::thread::sleep(std::time::Duration::MAX);
     }
 }

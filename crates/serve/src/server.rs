@@ -1161,11 +1161,12 @@ impl<S: LineService> DlmServer<S> {
     ///
     /// # Errors
     ///
-    /// Propagates socket errors.
+    /// Propagates socket errors, including a failure to create a
+    /// worker's wake channel.
     pub fn bind_with(addr: impl ToSocketAddrs, state: Arc<S>, io_threads: usize) -> Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let reactor = crate::reactor::spawn(listener, Arc::clone(&state), io_threads);
+        let reactor = crate::reactor::spawn(listener, Arc::clone(&state), io_threads)?;
         Ok(Self {
             addr,
             state,

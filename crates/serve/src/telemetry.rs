@@ -179,14 +179,10 @@ pub(crate) struct ReactorWorkerMetrics {
     pub(crate) accepted: Counter,
     /// Connections currently multiplexed by this worker.
     pub(crate) active: Gauge,
-    /// Duration of non-empty readiness sweeps.
+    /// Duration of each pass over the ready connections.
     pub(crate) sweep: Histogram,
-    /// Inbox depth observed at the top of each sweep.
-    pub(crate) inbox_depth: Gauge,
-    /// Idle parks taken.
-    pub(crate) parks: Counter,
-    /// Sweeps that moved bytes.
-    pub(crate) wakes: Counter,
+    /// Returns from `poll`.
+    pub(crate) polls: Counter,
 }
 
 impl ReactorWorkerMetrics {
@@ -197,9 +193,7 @@ impl ReactorWorkerMetrics {
             accepted: registry.counter("dlm_reactor_accepted_total", &labels),
             active: registry.gauge("dlm_reactor_active_connections", &labels),
             sweep: registry.histogram("dlm_reactor_sweep_micros", &labels),
-            inbox_depth: registry.gauge("dlm_reactor_inbox_depth", &labels),
-            parks: registry.counter("dlm_reactor_parks_total", &labels),
-            wakes: registry.counter("dlm_reactor_wakes_total", &labels),
+            polls: registry.counter("dlm_reactor_polls_total", &labels),
         }
     }
 }
